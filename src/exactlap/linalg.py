@@ -1,14 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals; no floating point anywhere.
 
-Everything here is computed with `fractions.Fraction`; there is no floating
-point anywhere.  The elimination kernel is fraction-free (Bareiss): rows are
-scaled to integers once, elimination stays in integer arithmetic with exact
-one-step divisions, and only the final back-substitution returns to
-fractions.  This keeps intermediate entries at minor-determinant size
-instead of letting numerators and denominators compound.
+A `RationalMatrix` stores each row as a map from column to nonzero
+`Fraction`.  One elimination kernel, `_eliminate`, serves the determinant,
+the square ball solve and the rectangular solution sets:
+
+* rows are scaled to integers once and kept primitive (the gcd of each
+  updated row is divided out, its scale kept for the determinant), so an
+  update is an integer cross-multiplication of just the rows that meet
+  the pivot column;
+* the pivot is the shortest row in the active column with the fewest
+  nonzeros (minimum degree), ties to the lowest index: trees lose leaves
+  first with no fill-in at all, lattices keep their fill small;
+* zeros from cancellation are dropped at once, so the stored pattern is
+  the exact nonzero pattern and a chosen pivot is never zero; a column
+  whose nonzeros run out is a rank loss (zero determinant, free unknown).
 
 Affine subspaces are kept in a canonical form (reduced-echelon direction
-basis, particular point zeroed on the basis pivot coordinates) so that two
+basis, particular point zeroed on the basis pivot columns) so that two
 subspaces are equal as point sets exactly when their stored fields are
 identical.  Set equality therefore reduces to tuple comparison, which is
 what stabilization detection in the solver relies on.
@@ -24,139 +32,168 @@ from .errors import DimensionMismatch
 
 Vector = tuple[Fraction, ...]
 
-
-def _as_fraction_vector(values: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in values)
-
-
-def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Scale a rational row by the lcm of its denominators; return (row, scale)."""
-    scale = 1
-    for x in row:
-        d = x.denominator
-        scale = scale * d // math.gcd(scale, d)
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+_ZERO = Fraction(0)
 
 
 class RationalMatrix:
-    """Immutable dense matrix with Fraction entries, row-major."""
+    """Immutable sparse matrix: ``sparse_rows[i]`` maps column -> nonzero Fraction."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "sparse_rows")
 
-    def __init__(self, entries: Sequence[Sequence]) -> None:
-        rows = tuple(_as_fraction_vector(r) for r in entries)
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != self.cols:
-                raise DimensionMismatch("ragged rows in matrix")
-        self.entries = rows
+    def __init__(self, entries: Iterable[Iterable]) -> None:
+        entries = [tuple(r) for r in entries]
+        cols = len(entries[0]) if entries else 0
+        if any(len(r) != cols for r in entries):
+            raise DimensionMismatch("ragged rows in matrix")
+        self.rows, self.cols = len(entries), cols
+        self.sparse_rows = tuple({j: x for j, x in enumerate(map(Fraction, r)) if x} for r in entries)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[dict[int, Fraction]], cols: int) -> "RationalMatrix":
+        """Matrix from row maps whose values are nonzero Fractions (kept, not copied)."""
+        m = cls.__new__(cls)
+        m.sparse_rows = tuple(rows)
+        m.rows, m.cols = len(m.sparse_rows), cols
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls.from_rows(({i: Fraction(1)} for i in range(n)), n)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)])
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """Dense row tuples, built on demand."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+        return self.sparse_rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i]
+        dense = [_ZERO] * self.cols
+        for j, x in self.sparse_rows[i].items():
+            dense[j] = x
+        return tuple(dense)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch(
                 f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}"
             )
-        zero = Fraction(0)
-        return tuple(sum((a * b for a, b in zip(row, v)), zero) for row in self.entries)
+        return tuple(sum((x * v[j] for j, x in r.items()), _ZERO) for r in self.sparse_rows)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = Fraction(0)
-        cols = list(zip(*other.entries)) if other.cols else []
-        return RationalMatrix(
-            [[sum((a * b for a, b in zip(row, col)), zero) for col in cols] for row in self.entries]
-        )
+        out = []
+        for r in self.sparse_rows:
+            acc: dict[int, Fraction] = {}
+            for k, x in r.items():
+                for j, y in other.sparse_rows[k].items():
+                    acc[j] = acc.get(j, _ZERO) + x * y
+            out.append({j: x for j, x in acc.items() if x})
+        return RationalMatrix.from_rows(out, other.cols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return isinstance(other, RationalMatrix) and (self.cols, self.sparse_rows) == (other.cols, other.sparse_rows)
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash((self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _bareiss_forward(m: list[list[int]], pivot_cols_limit: int) -> tuple[list[int], int]:
-    """Fraction-free forward elimination, in place.
+def _eliminate(
+    a: RationalMatrix, rhs: Sequence[Fraction] | None = None
+) -> tuple[list[dict[int, int]], list[tuple[int, int]], list[int], list[int]]:
+    """Sparse fraction-free forward elimination of ``a``, augmented by ``rhs``.
 
-    Pivots are searched in columns ``0..pivot_cols_limit-1`` only; trailing
-    columns (right-hand sides) are updated but never pivoted on.  Returns the
-    pivot column list and the sign accumulated from row swaps.  Every
-    division is exact: entries after step t are (t+1)x(t+1) minors of the
-    original matrix, and the previous pivot divides the two-term update.
+    Returns ``(rows, pivots, num, den)``: integer rows with the right-hand
+    side under key ``a.cols``, where row i now stands for ``rows[i] * num[i]
+    / den[i]``; and the ``(row, column)`` pivots in elimination order.  A
+    pivot row keeps only columns pivoted later or never; a row that never
+    pivots ends with at most its right-hand side.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(pivot_cols_limit):
-        p = next((i for i in range(r, nrows) if m[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            sign = -sign
-        piv = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            row_i = m[i]
-            mic = row_i[c]
-            if mic:
-                for j in range(c + 1, ncols):
-                    row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-                row_i[c] = 0
-            elif prev != piv:
-                for j in range(c + 1, ncols):
-                    row_i[j] = piv * row_i[j] // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, sign
+    from heapq import heapify, heappop, heappush  # imported here to keep CLI start-up lean
+
+    ncols, gcd = a.cols, math.gcd
+    rows, num, den = [], [], []
+    col_rows: list = [set() for _ in range(ncols + 1)]  # the last is the right-hand side
+    for i, r in enumerate(a.sparse_rows):
+        if rhs is not None and rhs[i]:
+            r = {**r, ncols: Fraction(rhs[i])}
+        scale = math.lcm(*(x.denominator for x in r.values()))
+        ints = {j: x.numerator * (scale // x.denominator) for j, x in r.items()}
+        g = gcd(*ints.values()) or 1
+        rows.append({j: x // g for j, x in ints.items()})
+        num.append(g)
+        den.append(scale)
+        for j in r:
+            col_rows[j].add(i)
+    heap = [(len(col_rows[j]), j) for j in range(ncols)]
+    heapify(heap)
+    pivots = []
+    while heap:
+        count, c = heappop(heap)
+        active = col_rows[c]
+        if active is None or count != len(active):
+            continue  # finished column, or a stale count
+        col_rows[c] = None
+        if not count:
+            continue  # rank loss: no row left with a nonzero here
+        p = min(active, key=lambda i: (len(rows[i]), i))
+        piv = rows[p][c]
+        rest = [(j, x) for j, x in rows[p].items() if j != c]
+        for j, _ in rest:
+            col_rows[j].discard(p)
+        for i in active - {p}:
+            r = rows[i]
+            g = gcd(piv, r[c])
+            s, t = piv // g, r.pop(c) // g
+            if s != 1:
+                for j in r:
+                    r[j] *= s
+                den[i] *= s
+            for j, x in rest:
+                y = r.get(j, 0) - t * x
+                if y:
+                    if j not in r:
+                        col_rows[j].add(i)
+                    r[j] = y
+                elif j in r:
+                    del r[j]
+                    col_rows[j].discard(i)
+            g = gcd(*r.values())
+            if g > 1:
+                for j in r:
+                    r[j] //= g
+                num[i] *= g
+        for j, _ in rest:
+            if j < ncols:
+                heappush(heap, (len(col_rows[j]), j))
+        pivots.append((p, c))
+    return rows, pivots, num, den
 
 
 def determinant(a: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction-free elimination."""
+    """Exact determinant: the signed product of the sparse kernel's pivots."""
     if a.rows != a.cols:
         raise DimensionMismatch(f"determinant of non-square {a.rows}x{a.cols} matrix")
-    n = a.rows
-    if n == 0:
-        return Fraction(1)
-    m: list[list[int]] = []
-    denom = 1
-    for i in range(n):
-        ints, scale = _integer_row(a.row(i))
-        m.append(ints)
-        denom *= scale
-    pivots, sign = _bareiss_forward(m, n)
-    if len(pivots) < n:
+    rows, pivots, num, den = _eliminate(a)
+    if len(pivots) < a.rows:
         return Fraction(0)
-    # after full elimination the last pivot is the integer determinant
-    return Fraction(sign * m[n - 1][n - 1], denom)
+    top, bottom, perm = 1, 1, dict(pivots)
+    while perm:  # sign of the row -> column permutation of the pivots
+        start, k = perm.popitem()
+        while k != start:
+            k = perm.pop(k)
+            top = -top
+    for p, c in pivots:
+        top *= rows[p][c] * num[p]
+        bottom *= den[p]
+    return Fraction(top, bottom)
 
 
 def _rref_rows(vectors: Iterable[Sequence[Fraction]], ambient: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -210,10 +247,10 @@ class AffineSubspace:
             return
         if particular is None:
             particular = (Fraction(0),) * ambient_dim
-        point = _as_fraction_vector(particular)
+        point = tuple(map(Fraction, particular))
         if len(point) != ambient_dim:
             raise DimensionMismatch("particular point has wrong length")
-        span = [_as_fraction_vector(v) for v in span]
+        span = [tuple(map(Fraction, v)) for v in span]
         for v in span:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("spanning vector has wrong length")
@@ -290,56 +327,36 @@ class AffineSubspace:
 def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     """Full solution set of ``a x = b`` as a canonical affine subspace.
 
-    Fraction-free forward elimination on the integer-scaled augmented
-    matrix, then exact back-substitution.  The result may be a single
-    point, a positive-dimensional affine set, or empty.
+    Sparse forward elimination of the augmented system, then
+    back-substitution writing every unknown as an affine function of the
+    free ones.  The result may be a point, a positive-dimensional set, or empty.
     """
     if a.rows != len(b):
         raise DimensionMismatch(
             f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
         )
-    ncols = a.cols
-    aug: list[list[int]] = []
-    for i in range(a.rows):
-        ints, _ = _integer_row(list(a.row(i)) + [Fraction(b[i])])
-        aug.append(ints)
-    pivots, _ = _bareiss_forward(aug, ncols)
-    rank = len(pivots)
-    for i in range(rank, len(aug)):
-        if aug[i][ncols] != 0:
-            return AffineSubspace.empty(ncols)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(ncols) if j not in pivot_set]
-    # back-substitute the echelon rows into reduced form; only free columns
-    # and the right-hand side are needed (pivot columns reduce to identity)
-    wanted = free_cols + [ncols]
-    reduced: list[dict[int, Fraction]] = [dict() for _ in range(rank)]
-    for i in reversed(range(rank)):
-        piv = aug[i][pivots[i]]
-        row = aug[i]
-        for j in wanted:
-            if j < pivots[i]:
-                continue
-            s = Fraction(row[j])
-            for k in range(i + 1, rank):
-                coef = row[pivots[k]]
-                if coef:
-                    s -= coef * reduced[k].get(j, Fraction(0))
-            reduced[i][j] = s / piv
-    zero = Fraction(0)
-    particular = [zero] * ncols
-    for i, c in enumerate(pivots):
-        particular[c] = reduced[i].get(ncols, zero)
-    span = []
-    for f in free_cols:
-        v = [zero] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            coef = reduced[i].get(f, zero)
-            if coef:
-                v[c] = -coef
-        span.append(v)
-    return AffineSubspace(ncols, particular, span)
+    n = a.cols
+    rows, pivots, _, _ = _eliminate(a, b)
+    if any(rows[i] for i in set(range(a.rows)) - {p for p, _ in pivots}):
+        return AffineSubspace.empty(n)
+    pivot_cols = {c for _, c in pivots}
+    free = [j for j in range(n) if j not in pivot_cols]
+    # unknown -> {free column, or n for the constant term: coefficient}
+    expr = {j: {j: Fraction(1)} for j in free}
+    expr[n] = {n: Fraction(-1)}
+    for p, c in reversed(pivots):
+        acc: dict[int, Fraction] = {}
+        for j, x in rows[p].items():
+            if j != c:
+                for k, y in expr[j].items():
+                    acc[k] = acc.get(k, _ZERO) - x * y
+        expr[c] = {k: y / rows[p][c] for k, y in acc.items() if y}
+    particular = [_ZERO] * n
+    span = {j: [_ZERO] * n for j in free}
+    for c in range(n):
+        for k, y in expr[c].items():
+            (particular if k == n else span[k])[c] = y
+    return AffineSubspace(n, particular, span.values())
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:

@@ -179,6 +179,18 @@ def apply_laplacian(oracle: GraphOracle, f: BallFunction, lam: LambdaField) -> B
     return BallFunction(inner, tuple(out))
 
 
+def _operator_matrix(oracle: GraphOracle, n: int, lam: LambdaField, width: int) -> RationalMatrix:
+    """Rows of the operator on B_n over the first ``width`` ball ids, assembled sparsely."""
+    rows = []
+    for v in enumerate_ball(oracle, n).vertices:
+        nbs = oracle.neighbors(v)
+        coef = Fraction(-1, len(nbs))
+        row = {v: 1 + lam.value(oracle, v)}
+        row.update((w, coef) for w in nbs if w < width)
+        rows.append(row)
+    return RationalMatrix.from_rows(rows, width)
+
+
 def truncated_operator_matrix(oracle: GraphOracle, n: int, lam: LambdaField) -> RationalMatrix:
     """Square matrix of the operator on functions supported in B_n.
 
@@ -186,37 +198,12 @@ def truncated_operator_matrix(oracle: GraphOracle, n: int, lam: LambdaField) -> 
     ball.  Neighbors outside B_n contribute nothing because the function
     vanishes there.
     """
-    ball = enumerate_ball(oracle, n)
-    k = ball.size
-    zero = Fraction(0)
-    rows = []
-    for v in ball.vertices:
-        nbs = oracle.neighbors(v)
-        coef = Fraction(-1, len(nbs))
-        row = [zero] * k
-        row[v] = 1 + lam.value(oracle, v)
-        for w in nbs:
-            if w < k:
-                row[w] = coef
-        rows.append(row)
-    return RationalMatrix(rows)
+    return _operator_matrix(oracle, n, lam, enumerate_ball(oracle, n).size)
 
 
 def restricted_operator_matrix(oracle: GraphOracle, n: int, lam: LambdaField) -> RationalMatrix:
     """Rectangular matrix taking values on B_{n+1} to operator values on B_n."""
-    inner = enumerate_ball(oracle, n)
-    outer = enumerate_ball(oracle, n + 1)
-    zero = Fraction(0)
-    rows = []
-    for v in inner.vertices:
-        nbs = oracle.neighbors(v)
-        coef = Fraction(-1, len(nbs))
-        row = [zero] * outer.size
-        row[v] = 1 + lam.value(oracle, v)
-        for w in nbs:
-            row[w] = coef
-        rows.append(row)
-    return RationalMatrix(rows)
+    return _operator_matrix(oracle, n, lam, enumerate_ball(oracle, n + 1).size)
 
 
 def restriction_matrix(small: Ball, large: Ball) -> RationalMatrix:
@@ -225,10 +212,4 @@ def restriction_matrix(small: Ball, large: Ball) -> RationalMatrix:
         raise BadRadii(f"restriction needs radius {small.radius} <= {large.radius}")
     if small.oracle is not large.oracle:
         raise DimensionMismatch("balls come from different oracles")
-    one, zero = Fraction(1), Fraction(0)
-    rows = []
-    for i in range(small.size):
-        row = [zero] * large.size
-        row[i] = one
-        rows.append(row)
-    return RationalMatrix(rows)
+    return RationalMatrix.from_rows(({i: Fraction(1)} for i in range(small.size)), large.size)

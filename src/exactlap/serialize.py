@@ -109,6 +109,14 @@ def graph_from_text(text: str) -> GraphOracle:
     return family_oracle(graph_spec_from_text(text))
 
 
+def _vertex_id(key, what: str) -> int:
+    """A breadth-first vertex id written in ASCII decimal digits."""
+    text = str(key)
+    if not (text.isascii() and text.isdigit()):
+        raise SpecFormatError(f"{what} key {key!r} is not a vertex id")
+    return int(text)
+
+
 def target_from_json(spec: dict) -> TargetFunction:
     """Build a target from its canonical JSON description.
 
@@ -132,12 +140,9 @@ def target_from_json(spec: dict) -> TargetFunction:
         entries = spec.get("entries")
         if not isinstance(entries, dict):
             raise SpecFormatError("sparse target requires an 'entries' object keyed by vertex id")
-        clean = {}
-        for k, v in entries.items():
-            if not str(k).lstrip("-").isdigit():
-                raise SpecFormatError(f"sparse target key {k!r} is not a vertex id")
-            clean[int(k)] = parse_fraction(v)
-        return TargetFunction.sparse(clean)
+        return TargetFunction.sparse(
+            {_vertex_id(k, "sparse target"): parse_fraction(v) for k, v in entries.items()}
+        )
     raise SpecFormatError(f"unknown target kind {kind!r}")
 
 
@@ -180,12 +185,11 @@ def lambda_from_json(spec: dict) -> LambdaField:
             raise SpecFormatError("map weight requires an 'entries' object keyed by vertex id")
         clean = {}
         for k, v in entries.items():
-            if not str(k).isdigit():
-                raise SpecFormatError(f"map weight key {k!r} is not a vertex id")
+            vertex = _vertex_id(k, "map weight")
             value = parse_fraction(v)
             if value < 0:
                 raise SpecFormatError(f"weight must be nonnegative, got {value} at vertex {k}")
-            clean[int(k)] = value
+            clean[vertex] = value
         return LambdaField.from_map(clean)
     raise SpecFormatError(f"unknown weight kind {kind!r}")
 

@@ -1,0 +1,120 @@
+"""Dense fraction-free Bareiss elimination: a reference for the sparse kernel.
+
+This is the package's former dense path, kept only as a differential test
+oracle.  It works on plain lists of rows, scales each row to integers once,
+eliminates column by column in natural order with exact one-step divisions,
+and back-substitutes in fractions.  The solution set it returns is put in
+the package's canonical `AffineSubspace` form, so the two paths can be
+compared by equality.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Sequence
+
+from exactlap.linalg import AffineSubspace
+
+
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Scale a rational row by the lcm of its denominators; return (row, scale)."""
+    row = [Fraction(x) for x in row]
+    scale = 1
+    for x in row:
+        scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def bareiss_forward(m: list[list[int]], pivot_cols_limit: int) -> tuple[list[int], int]:
+    """Fraction-free forward elimination, in place.
+
+    Pivots are searched in columns ``0..pivot_cols_limit-1`` only; trailing
+    columns (right-hand sides) are updated but never pivoted on.  Returns the
+    pivot column list and the sign accumulated from row swaps.
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(pivot_cols_limit):
+        p = next((i for i in range(r, nrows) if m[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        piv = m[r][c]
+        row_r = m[r]
+        for i in range(r + 1, nrows):
+            row_i = m[i]
+            mic = row_i[c]
+            if mic:
+                for j in range(c + 1, ncols):
+                    row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
+                row_i[c] = 0
+            elif prev != piv:
+                for j in range(c + 1, ncols):
+                    row_i[j] = piv * row_i[j] // prev
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, sign
+
+
+def dense_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m: list[list[int]] = []
+    denom = 1
+    for row in rows:
+        ints, scale = integer_row(row)
+        m.append(ints)
+        denom *= scale
+    pivots, sign = bareiss_forward(m, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[n - 1][n - 1], denom)
+
+
+def dense_solve(rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction]) -> AffineSubspace:
+    aug = [integer_row(list(row) + [Fraction(x)])[0] for row, x in zip(rows, b)]
+    pivots, _ = bareiss_forward(aug, ncols)
+    rank = len(pivots)
+    if any(aug[i][ncols] for i in range(rank, len(aug))):
+        return AffineSubspace.empty(ncols)
+    pivot_set = set(pivots)
+    free_cols = [j for j in range(ncols) if j not in pivot_set]
+    wanted = free_cols + [ncols]
+    reduced: list[dict[int, Fraction]] = [dict() for _ in range(rank)]
+    for i in reversed(range(rank)):
+        piv = aug[i][pivots[i]]
+        row = aug[i]
+        for j in wanted:
+            if j < pivots[i]:
+                continue
+            s = Fraction(row[j])
+            for k in range(i + 1, rank):
+                coef = row[pivots[k]]
+                if coef:
+                    s -= coef * reduced[k].get(j, Fraction(0))
+            reduced[i][j] = s / piv
+    zero = Fraction(0)
+    particular = [zero] * ncols
+    for i, c in enumerate(pivots):
+        particular[c] = reduced[i].get(ncols, zero)
+    span = []
+    for f in free_cols:
+        v = [zero] * ncols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            coef = reduced[i].get(f, zero)
+            if coef:
+                v[c] = -coef
+        span.append(v)
+    return AffineSubspace(ncols, particular, span)

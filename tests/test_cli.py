@@ -24,7 +24,9 @@ from exactlap.serialize import (
     ball_function_from_json,
     format_fraction,
     graph_spec_from_text,
+    lambda_from_json,
     parse_fraction,
+    target_from_json,
 )
 from exactlap.solver import Certificate, solve_on_ball
 
@@ -319,6 +321,31 @@ def test_invalid_inputs_exit_3(capsys, argv):
     assert code == EXIT_INVALID
     assert out == ""
     assert "invalid input" in err
+
+
+BAD_VERTEX_KEYS = ["\u00b2", "\u0663", "\uff11", "-1", "+1", " 1", "1.0", ""]
+
+
+@pytest.mark.parametrize("key", BAD_VERTEX_KEYS)
+@pytest.mark.parametrize(
+    "parse, kind",
+    [(target_from_json, "sparse"), (lambda_from_json, "map")],
+    ids=["target", "lambda"],
+)
+def test_vertex_id_keys_must_be_ascii_decimal(parse, kind, key):
+    with pytest.raises(SpecFormatError, match="is not a vertex id"):
+        parse({"kind": kind, "entries": {key: "1"}})
+    assert parse({"kind": kind, "entries": {"007": "1"}}).data == {7: 1}
+
+
+@pytest.mark.parametrize("key", ["\u00b2", "-1"])
+@pytest.mark.parametrize("flag, kind", [("--target", "sparse"), ("--lambda", "map")])
+def test_bad_vertex_keys_exit_3(capsys, flag, kind, key):
+    spec = json.dumps({"kind": kind, "entries": {key: "1"}})
+    code, out, err = invoke(capsys, ["--graph", "z", "--mode", "ball", "--radius", "1", flag, spec])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "is not a vertex id" in err
 
 
 def test_asymmetric_graph_fails_validation(capsys, monkeypatch):

@@ -1,0 +1,200 @@
+"""The sparse elimination kernel against the dense Bareiss oracle.
+
+Determinants must agree exactly and solution sets must be equal as
+canonical affine subspaces, on random rational matrices of every shape and
+on the operator matrices of every built-in graph family.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dense_oracle import dense_determinant, dense_solve
+from exactlap.graphs import (
+    custom_oracle,
+    cycle_oracle,
+    enumerate_ball,
+    free_group_oracle,
+    grid_oracle,
+    ladder_oracle,
+    line_oracle,
+    path_oracle,
+    tree_oracle,
+)
+from exactlap.linalg import RationalMatrix, determinant, solve_exact
+from exactlap.operators import (
+    LambdaField,
+    restricted_operator_matrix,
+    truncated_operator_matrix,
+)
+
+# --- random matrices ---------------------------------------------------------
+
+nonzero = st.builds(
+    Fraction,
+    st.integers(-6, 6).filter(bool),
+    st.integers(1, 4),
+)
+# about half the entries zero, so pivot order and fill-in matter
+entry = st.one_of(st.just(Fraction(0)), nonzero)
+
+
+def rows_of(nrows, ncols):
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def system(draw, nrows, ncols):
+    rows = draw(rows_of(nrows, ncols))
+    b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return rows, b
+
+
+@st.composite
+def dependent_system(draw, nrows, ncols, consistent):
+    """Last row (and right-hand side) is a combination of the others, plus an offset if inconsistent."""
+    rows, b = draw(system(nrows - 1, ncols))
+    coefs = draw(st.lists(entry, min_size=nrows - 1, max_size=nrows - 1))
+    rows.append([sum((c * r[j] for c, r in zip(coefs, rows)), Fraction(0)) for j in range(ncols)])
+    offset = Fraction(0) if consistent else draw(nonzero)
+    b.append(sum((c * x for c, x in zip(coefs, b)), Fraction(0)) + offset)
+    order = draw(st.permutations(range(nrows)))
+    return [rows[i] for i in order], [b[i] for i in order]
+
+
+def assert_kernel_matches(rows, ncols, b):
+    assert solve_exact(RationalMatrix(rows), b) == dense_solve(rows, ncols, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: rows_of(n, n)))
+def test_square_determinant_matches_oracle(rows):
+    assert determinant(RationalMatrix(rows)) == dense_determinant(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: dependent_system(n, n, True)))
+def test_singular_determinant_is_zero_like_the_oracle(sys_):
+    rows, _ = sys_
+    assert determinant(RationalMatrix(rows)) == dense_determinant(rows) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: system(n, n)))
+def test_square_solve_matches_oracle(sys_):
+    rows, b = sys_
+    assert_kernel_matches(rows, len(rows), b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(0, 7)).flatmap(lambda shape: system(*shape)),
+)
+def test_rectangular_solve_matches_oracle(sys_):
+    rows, b = sys_
+    assert_kernel_matches(rows, len(rows[0]), b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(2, 6), st.integers(1, 6)).flatmap(
+        lambda shape: dependent_system(*shape, consistent=False)
+    ),
+)
+def test_inconsistent_systems_are_empty_like_the_oracle(sys_):
+    rows, b = sys_
+    sol = solve_exact(RationalMatrix(rows), b)
+    assert sol.is_empty
+    assert sol == dense_solve(rows, len(rows[0]), b)
+
+
+@st.composite
+def wide_consistent_system(draw, nrows, ncols):
+    """More unknowns than equations, one equation dependent, right-hand side A x for a drawn x."""
+    rows, _ = draw(dependent_system(nrows, ncols, consistent=True))
+    x = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    b = [sum((a * y for a, y in zip(r, x)), Fraction(0)) for r in rows]
+    return rows, x, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(2, 4)).flatmap(
+        lambda shape: wide_consistent_system(shape[0] + 1, shape[0] + shape[1])
+    ),
+)
+def test_positive_dimensional_sets_match_the_oracle(sys_):
+    rows, x, b = sys_
+    ncols = len(rows[0])
+    sol = solve_exact(RationalMatrix(rows), b)
+    assert sol.contains(x)
+    # rank is at most nrows - 1, so at least ncols - nrows + 1 free unknowns
+    assert sol.dim >= ncols - len(rows) + 1
+    assert sol == dense_solve(rows, ncols, b)
+
+
+def test_zero_row_and_zero_column_edge_cases():
+    assert_kernel_matches([[Fraction(0)] * 3] * 2, 3, [Fraction(0), Fraction(0)])
+    assert_kernel_matches([[Fraction(0)] * 3] * 2, 3, [Fraction(0), Fraction(1)])
+    assert_kernel_matches([[], []], 0, [Fraction(0), Fraction(2)])
+    assert determinant(RationalMatrix([[0, 1], [0, 5]])) == dense_determinant([[0, 1], [0, 5]]) == 0
+
+
+# --- operator matrices of the built-in families -------------------------------
+
+FAMILIES = {
+    "line": line_oracle,
+    "grid2": lambda: grid_oracle(2),
+    "grid3": lambda: grid_oracle(3),
+    "tree3": lambda: tree_oracle(3),
+    "ladder2": lambda: ladder_oracle(2),
+    "free2": lambda: free_group_oracle(2),
+    "c5": lambda: cycle_oracle(5),
+    "p4": lambda: path_oracle(4),
+    "custom": lambda: custom_oracle(5, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2]]),
+}
+
+LAMBDAS = {
+    "zero": LambdaField.zero,
+    "constant": lambda: LambdaField.constant(Fraction(3, 2)),
+    "distance": LambdaField.distance,
+    "map": lambda: LambdaField.from_map({1: Fraction(2), 3: Fraction(1, 3)}),
+}
+
+FINITE = {"c5", "p4", "custom"}
+
+
+def _target(rng, size):
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.4 else Fraction(0)
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("lam_name", sorted(LAMBDAS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_operator_matrices_match_oracle(family, lam_name):
+    oracle = FAMILIES[family]()
+    lam = LAMBDAS[lam_name]()
+    rng = random.Random(f"{family}:{lam_name}")
+    for n in range(4):
+        square = truncated_operator_matrix(oracle, n, lam)
+        rows = square.entries
+        det = determinant(square)
+        assert det == dense_determinant(rows)
+        b = _target(rng, square.rows)
+        sol = solve_exact(square, b)
+        assert sol == dense_solve(rows, square.cols, b)
+        saturated = enumerate_ball(oracle, n).boundary_saturated
+        if family in FINITE and saturated and lam_name == "zero":
+            # constants lie in the kernel of the whole finite graph's operator
+            assert det == 0
+            assert sol.is_empty or sol.dim > 0
+        elif family not in FINITE:
+            assert det != 0 and sol.dim == 0
+        rect = restricted_operator_matrix(oracle, n, lam)
+        if rect.cols > 120 and lam_name != "zero":
+            continue  # grid3 and free2 at radius 3: the dense oracle takes seconds per weight
+        b = _target(rng, rect.rows)
+        assert solve_exact(rect, b) == dense_solve(rect.entries, rect.cols, b)

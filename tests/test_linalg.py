@@ -318,7 +318,10 @@ def test_matrix_basics():
     assert m.row(0) == (1, 2)
     assert m.mul_vec([Fraction(1), Fraction(1)]) == (3, 7)
     assert m.matmul(RationalMatrix.identity(2)) == m
-    assert RationalMatrix.zeros(2, 3).entries == ((0, 0, 0), (0, 0, 0))
+    zeros = RationalMatrix([[0, 0, 0], [0, 0, 0]])
+    assert zeros.entries == ((0, 0, 0), (0, 0, 0))
+    assert zeros.sparse_rows == ({}, {})
+    assert (zeros.rows, zeros.cols) == (2, 3)
     with pytest.raises(DimensionMismatch):
         m.mul_vec([Fraction(1)])
     with pytest.raises(DimensionMismatch):
