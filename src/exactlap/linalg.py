@@ -2,7 +2,8 @@
 
 A `RationalMatrix` stores each row as a map from column to nonzero
 `Fraction`.  One elimination kernel, `_eliminate`, serves the determinant,
-the square ball solve and the rectangular solution sets:
+the square ball solve, the rectangular solution sets and their images on a
+prefix of the coordinates:
 
 * rows are scaled to integers once and kept primitive (the gcd of each
   updated row is divided out, its scale kept for the determinant), so an
@@ -13,13 +14,21 @@ the square ball solve and the rectangular solution sets:
   first with no fill-in at all, lattices keep their fill small;
 * zeros from cancellation are dropped at once, so the stored pattern is
   the exact nonzero pattern and a chosen pivot is never zero; a column
-  whose nonzeros run out is a rank loss (zero determinant, free unknown).
+  whose nonzeros run out is a rank loss (zero determinant, free unknown);
+* pivots may be confined to the columns from some ``k`` on: the rows left
+  without a pivot then constrain the first ``k`` unknowns alone and cut
+  out the image of the solution set there (`solution_image`).
 
 Affine subspaces are kept in a canonical form (reduced-echelon direction
 basis, particular point zeroed on the basis pivot columns) so that two
 subspaces are equal as point sets exactly when their stored fields are
 identical.  Set equality therefore reduces to tuple comparison, which is
-what stabilization detection in the solver relies on.
+what stabilization detection in the solver relies on.  `solution_image`
+writes that form down directly: it reduces its leftover rows with each
+pivot at the row's rightmost column, whose free columns are exactly the
+reduced-echelon pivot columns.  `solve_exact` uses it for every
+positive-dimensional set, so only subspaces built from a spanning set
+(`AffineSubspace(...)`, `image_under_map`) go through a dense reduction.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .errors import DimensionMismatch
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class RationalMatrix:
@@ -106,15 +116,16 @@ class RationalMatrix:
 
 
 def _eliminate(
-    a: RationalMatrix, rhs: Sequence[Fraction] | None = None
+    a: RationalMatrix, rhs: Sequence[Fraction] | None = None, first: int = 0
 ) -> tuple[list[dict[int, int]], list[tuple[int, int]], list[int], list[int]]:
     """Sparse fraction-free forward elimination of ``a``, augmented by ``rhs``.
 
-    Returns ``(rows, pivots, num, den)``: integer rows with the right-hand
-    side under key ``a.cols``, where row i now stands for ``rows[i] * num[i]
-    / den[i]``; and the ``(row, column)`` pivots in elimination order.  A
-    pivot row keeps only columns pivoted later or never; a row that never
-    pivots ends with at most its right-hand side.
+    Only columns ``first`` and beyond may hold a pivot.  Returns ``(rows,
+    pivots, num, den)``: integer rows with the right-hand side under key
+    ``a.cols``, where row i now stands for ``rows[i] * num[i] / den[i]``; and
+    the ``(row, column)`` pivots in elimination order.  A pivot row keeps
+    only columns pivoted later or never; a row that never pivots ends with
+    columns below ``first`` and its right-hand side at most.
     """
     from heapq import heapify, heappop, heappush  # imported here to keep CLI start-up lean
 
@@ -132,7 +143,7 @@ def _eliminate(
         den.append(scale)
         for j in r:
             col_rows[j].add(i)
-    heap = [(len(col_rows[j]), j) for j in range(ncols)]
+    heap = [(len(col_rows[j]), j) for j in range(first, ncols)]
     heapify(heap)
     pivots = []
     while heap:
@@ -171,7 +182,7 @@ def _eliminate(
                     r[j] //= g
                 num[i] *= g
         for j, _ in rest:
-            if j < ncols:
+            if first <= j < ncols:
                 heappush(heap, (len(col_rows[j]), j))
         pivots.append((p, c))
     return rows, pivots, num, den
@@ -254,7 +265,7 @@ class AffineSubspace:
         for v in span:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("spanning vector has wrong length")
-        rows, pivots = _rref_rows(span, ambient_dim)
+        rows, pivots = _rref_rows(span, ambient_dim) if span else ([], [])
         reduced = list(point)
         for row, c in zip(rows, pivots):
             coef = reduced[c]
@@ -264,6 +275,16 @@ class AffineSubspace:
         self.basis = tuple(tuple(r) for r in rows)
         self.pivot_cols = tuple(pivots)
         self.is_empty = False
+
+    @classmethod
+    def _canonical(
+        cls, ambient_dim: int, particular: Vector, basis: tuple[Vector, ...], pivot_cols: tuple[int, ...]
+    ) -> "AffineSubspace":
+        """Wrap fields that are already in canonical form, without reducing them again."""
+        s = cls.__new__(cls)
+        s.ambient_dim, s.particular, s.basis, s.pivot_cols = ambient_dim, particular, basis, pivot_cols
+        s.is_empty = False
+        return s
 
     @classmethod
     def empty(cls, ambient_dim: int) -> "AffineSubspace":
@@ -327,9 +348,11 @@ class AffineSubspace:
 def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     """Full solution set of ``a x = b`` as a canonical affine subspace.
 
-    Sparse forward elimination of the augmented system, then
-    back-substitution writing every unknown as an affine function of the
-    free ones.  The result may be a point, a positive-dimensional set, or empty.
+    Minimum-degree elimination of the augmented system decides consistency
+    and rank.  A unique solution is back-substituted from its pivot rows; a
+    positive-dimensional set is read off by `solution_image` over all of its
+    coordinates.  The result may be a point, a positive-dimensional set, or
+    empty.
     """
     if a.rows != len(b):
         raise DimensionMismatch(
@@ -339,24 +362,85 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     rows, pivots, _, _ = _eliminate(a, b)
     if any(rows[i] for i in set(range(a.rows)) - {p for p, _ in pivots}):
         return AffineSubspace.empty(n)
-    pivot_cols = {c for _, c in pivots}
-    free = [j for j in range(n) if j not in pivot_cols]
-    # unknown -> {free column, or n for the constant term: coefficient}
-    expr = {j: {j: Fraction(1)} for j in free}
-    expr[n] = {n: Fraction(-1)}
-    for p, c in reversed(pivots):
-        acc: dict[int, Fraction] = {}
-        for j, x in rows[p].items():
-            if j != c:
-                for k, y in expr[j].items():
-                    acc[k] = acc.get(k, _ZERO) - x * y
-        expr[c] = {k: y / rows[p][c] for k, y in acc.items() if y}
-    particular = [_ZERO] * n
-    span = {j: [_ZERO] * n for j in free}
-    for c in range(n):
-        for k, y in expr[c].items():
-            (particular if k == n else span[k])[c] = y
-    return AffineSubspace(n, particular, span.values())
+    if len(pivots) < n:
+        return solution_image(a, b, n)
+    x = [_ZERO] * n
+    for p, c in reversed(pivots):  # a pivot row holds only columns pivoted later
+        r = rows[p]
+        rest = sum((v * x[j] for j, v in r.items() if j != c and j != n), _ZERO)
+        x[c] = (r.get(n, 0) - rest) / r[c]
+    return AffineSubspace.from_point(x)
+
+
+def _combine(r: dict[int, int], q: dict[int, int], c: int) -> dict[int, int]:
+    """Row ``r`` with column ``c`` cleared by a multiple of ``q``, as a primitive integer row."""
+    g = math.gcd(q[c], r[c])
+    s, t = q[c] // g, r[c] // g
+    out = {j: s * x for j, x in r.items() if j != c}
+    for j, x in q.items():
+        if j != c:
+            y = out.get(j, 0) - t * x
+            if y:
+                out[j] = y
+            else:
+                out.pop(j, None)
+    g = math.gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSubspace:
+    """Canonical image of the solution set of ``a x = b`` on its first ``k`` coordinates.
+
+    The unknowns from column ``k`` on are eliminated first, in
+    minimum-degree order.  Each of them is then pivoted (solvable from the
+    others) or free, so the rows left without a pivot, which involve only
+    the first ``k`` unknowns, cut out the image exactly; one left with only
+    a right-hand side makes it empty.  Those rows are reduced with each
+    row's pivot at its rightmost column.  The columns left without a pivot
+    are then the reduced-echelon pivot columns of the image's direction
+    space: the null vector of such a column f involves only f and pivot
+    columns to its right, so it vanishes left of f.  The canonical basis
+    and particular point are read off the reduced rows directly.
+    """
+    if a.rows != len(b):
+        raise DimensionMismatch(
+            f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
+        )
+    if not 0 <= k <= a.cols:
+        raise DimensionMismatch(f"cannot take {k} of {a.cols} coordinates")
+    rows, pivots, _, _ = _eliminate(a, b, k)
+    pivoted = {p for p, _ in pivots}
+    pivot_rows: dict[int, dict[int, int]] = {}  # pivot column -> row; the rhs key is >= k
+    for i, r in enumerate(rows):
+        if i in pivoted:
+            continue
+        while r:
+            c = max((j for j in r if j < k), default=None)
+            if c is None:
+                return AffineSubspace.empty(k)  # 0 = nonzero right-hand side
+            q = pivot_rows.get(c)
+            if q is None:
+                pivot_rows[c] = r
+                break
+            r = _combine(r, q, c)
+    for c in sorted(pivot_rows):  # clear pivot columns to the left, smallest first
+        r = pivot_rows[c]
+        for q in [j for j in r if j < c and j in pivot_rows]:
+            r = _combine(r, pivot_rows[q], q)
+        pivot_rows[c] = r
+    free = [j for j in range(k) if j not in pivot_rows]
+    particular = [_ZERO] * k
+    basis = {f: [_ZERO] * k for f in free}
+    for f in free:
+        basis[f][f] = _ONE
+    for c, r in pivot_rows.items():
+        for j, x in r.items():
+            if j < k:
+                if j != c:
+                    basis[j][c] = Fraction(-x, r[c])
+            else:
+                particular[c] = Fraction(x, r[c])
+    return AffineSubspace._canonical(k, tuple(particular), tuple(tuple(basis[f]) for f in free), tuple(free))
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:

@@ -7,17 +7,21 @@ larger ball, hence be zero), so every target admits a unique
 finitely-supported preimage agreeing with it on B_n.  Each such solve pins
 a global solution to within prodiscrete distance 2^-(n+1).
 
-The coherent route tracks, for each level n, the full affine solution set
-on B_{n+1} of the rectangular truncation, projects the deeper sets back to
-level n, and waits for that non-increasing chain of affine subspaces to
-stop shrinking.  Elements of the stabilized image extend level by level, so
-one obtains a family x_0, x_1, ... where each x_{n+1} agrees with x_n on
-its whole domain ball; the union is a single global preimage.
+The coherent route tracks, for each level n, the image on B_{n+1} of the
+affine solution sets of the deeper rectangular truncations, and waits for
+that non-increasing chain of affine subspaces to stop shrinking.  Each
+image is computed by eliminating the deep unknowns (those outside
+B_{n+1}) first, so no deep solution set is ever built.  Elements of the
+stabilized image extend level by level, so one obtains a family x_0, x_1,
+... where each x_{n+1} agrees with x_n on its whole domain ball; the union
+is a single global preimage.
 
 Stabilization is certified syntactically: a configurable number of
 consecutive chain images must be equal as canonical affine subspaces.  If
 the level budget runs out first, the honest answer is "window exceeded",
-never a claimed stabilization.
+never a claimed stabilization.  The canonical point of a stabilized image
+is re-checked against the target through `apply_laplacian`, as are the
+ball and coherent solutions.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .linalg import (
     RationalMatrix,
     affine_subset,
     determinant,
-    image_under_map,
+    solution_image,
     solve_exact,
     subspace_equal,
 )
@@ -51,7 +55,6 @@ from .operators import (
     TargetFunction,
     apply_laplacian,
     restricted_operator_matrix,
-    restriction_matrix,
     truncated_operator_matrix,
 )
 
@@ -158,10 +161,10 @@ def _dim_rank(s: AffineSubspace) -> int:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Projected solution sets at one level, across increasing depths.
+    """Images of the solution sets at one level, across increasing depths.
 
-    ``images[i]`` is the pair (m, projection to B_{level+1} of the solution
-    set at depth m); entries are nested and non-increasing in dimension.
+    ``images[i]`` is the pair (m, image on B_{level+1} of the solution set
+    at depth m); entries are nested and non-increasing in dimension.
     ``stabilized_at`` is the start of the verified run of equal images, or
     None when the depth budget ran out first.
     """
@@ -197,12 +200,17 @@ def run_chain(
     window: int,
     lam: LambdaField,
 ) -> ChainState:
-    """Project solution sets from depths m = n..max_m down to level n.
+    """Image on B_{n+1} of the solution sets at depths m = n..max_m.
 
-    Stops as soon as ``window`` consecutive projections are equal as
-    canonical subspaces, reporting where constancy began.  Nestedness and
-    dimension monotonicity are enforced at every step; a violation means a
-    bug, not a mathematical outcome, and raises ChainViolation.
+    Each image eliminates deep unknowns first: the unknowns outside
+    B_{n+1} are eliminated from the depth-m system, and the rows left over
+    cut out the image, so the solution set on B_{m+1} is never built.
+    Stops as soon as ``window`` consecutive images are equal as canonical
+    subspaces, reporting where constancy began.  Nestedness and dimension
+    monotonicity are enforced at every step, and the canonical point of a
+    non-empty stabilized image is re-checked against the target through
+    `apply_laplacian`; a violation means a bug, not a mathematical outcome,
+    and raises ChainViolation.
     """
     if n > max_m:
         raise BadRadii(f"chain needs level {n} <= depth budget {max_m}")
@@ -214,10 +222,8 @@ def run_chain(
     run_length = 0
     stabilized_at: int | None = None
     for m in range(n, max_m + 1):
-        deep_set = affine_solution_set(oracle, target, m, lam)
-        outer_ball = enumerate_ball(oracle, m + 1)
-        projection = restriction_matrix(ambient_ball, outer_ball)
-        img = image_under_map(deep_set, projection)
+        rhs = target.on_ball(enumerate_ball(oracle, m)).values
+        img = solution_image(restricted_operator_matrix(oracle, m, lam), rhs, ambient_ball.size)
         if prev is not None:
             if not affine_subset(img, prev):
                 raise ChainViolation(
@@ -238,6 +244,12 @@ def run_chain(
         if run_length >= window - 1:
             stabilized_at = m - (window - 1)
             break
+    if stabilized_at is not None and not prev.is_empty:
+        applied = apply_laplacian(oracle, BallFunction(ambient_ball, prev.particular), lam)
+        if applied.values != target.on_ball(enumerate_ball(oracle, n)).values:
+            raise ChainViolation(
+                f"canonical point of the stabilized image at level {n} misses the target"
+            )
     return ChainState(
         level=n,
         max_m=max_m,

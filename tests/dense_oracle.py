@@ -6,6 +6,9 @@ eliminates column by column in natural order with exact one-step divisions,
 and back-substitutes in fractions.  The solution set it returns is put in
 the package's canonical `AffineSubspace` form, so the two paths can be
 compared by equality.
+
+`dense_images` is the former chain route on top of it: the whole solution
+set, canonicalized, then its image under 0/1 projection matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from exactlap.linalg import AffineSubspace
+from exactlap.linalg import AffineSubspace, RationalMatrix, image_under_map
 
 
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -118,3 +121,11 @@ def dense_solve(rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Frac
                 v[c] = -coef
         span.append(v)
     return AffineSubspace(ncols, particular, span)
+
+
+def dense_images(
+    rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction], projections: Sequence[RationalMatrix]
+) -> tuple[AffineSubspace, list[AffineSubspace]]:
+    """The dense solution set of ``rows x = b`` and its image under each projection."""
+    deep = dense_solve(rows, ncols, b)
+    return deep, [image_under_map(deep, p) for p in projections]

@@ -19,6 +19,7 @@ from exactlap.cli import (
 )
 from exactlap.errors import SingularSystem, SpecFormatError
 from exactlap.graphs import enumerate_ball, grid_oracle
+from exactlap.linalg import AffineSubspace
 from exactlap.operators import LambdaField, TargetFunction
 from exactlap.serialize import (
     ball_function_from_json,
@@ -31,6 +32,7 @@ from exactlap.serialize import (
 from exactlap.solver import Certificate, solve_on_ball
 
 import exactlap.cli as cli_module
+import exactlap.solver as solver_module
 
 
 def invoke(capsys, argv):
@@ -198,6 +200,26 @@ def test_chain_mode_reports_stabilization(capsys):
     assert report["stabilized_at"] == 1
     assert [img["dim"] for img in report["images"]] == [2, 2, 2]
     assert "universal_element" in report
+
+
+def test_chain_residual_recheck_rejects_a_corrupted_image(capsys, monkeypatch):
+    """Every image shifted by the root's indicator still nests and stabilizes,
+    but no point of it solves the target at the root, so the re-check fails."""
+    real = solver_module.solution_image
+
+    def shifted(a, b, k):
+        img = real(a, b, k)
+        point = (img.particular[0] + 1,) + img.particular[1:]
+        return AffineSubspace(k, point, img.basis)
+
+    monkeypatch.setattr(solver_module, "solution_image", shifted)
+    code, out, err = invoke(
+        capsys,
+        ["--graph", "z", "--mode", "chain", "--radius", "1", "--max-m", "6"],
+    )
+    assert code == EXIT_ANOMALY
+    assert out == ""
+    assert "misses the target" in err
 
 
 def test_chain_window_exceeded_is_a_valid_observation(capsys):

@@ -1,8 +1,12 @@
 """The sparse elimination kernel against the dense Bareiss oracle.
 
-Determinants must agree exactly and solution sets must be equal as
-canonical affine subspaces, on random rational matrices of every shape and
-on the operator matrices of every built-in graph family.
+Determinants must agree exactly, and solution sets and their images on a
+prefix of the coordinates must be equal as canonical affine subspaces (by
+`==` and by pivot columns), on random rational matrices of every shape and
+on the operator matrices of every built-in graph family.  The images are
+compared with the former chain route: the whole dense solution set, then a
+0/1 projection.  A structural check, with no oracle, asserts the canonical
+form of every image itself.
 """
 
 import random
@@ -12,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_determinant, dense_solve
+from dense_oracle import dense_determinant, dense_images, dense_solve
+from exactlap.errors import DimensionMismatch
 from exactlap.graphs import (
     custom_oracle,
     cycle_oracle,
@@ -24,10 +29,12 @@ from exactlap.graphs import (
     path_oracle,
     tree_oracle,
 )
-from exactlap.linalg import RationalMatrix, determinant, solve_exact
+from exactlap.linalg import RationalMatrix, determinant, solution_image, solve_exact
 from exactlap.operators import (
     LambdaField,
+    TargetFunction,
     restricted_operator_matrix,
+    restriction_matrix,
     truncated_operator_matrix,
 )
 
@@ -136,6 +143,75 @@ def test_positive_dimensional_sets_match_the_oracle(sys_):
     assert sol == dense_solve(rows, ncols, b)
 
 
+def prefix_projection(k, ncols):
+    return RationalMatrix.from_rows(({j: Fraction(1)} for j in range(k)), ncols)
+
+
+def assert_same_subspace(got, want):
+    assert got == want
+    assert got.pivot_cols == want.pivot_cols
+
+
+def assert_canonical(s):
+    """Reduced-echelon basis with leading ones; particular point zero on the pivot columns."""
+    if s.is_empty:
+        assert (s.particular, s.basis, s.pivot_cols) == ((), (), ())
+        return
+    assert len(s.particular) == s.ambient_dim
+    assert list(s.pivot_cols) == sorted(set(s.pivot_cols))
+    assert len(s.basis) == len(s.pivot_cols)
+    for row, c in zip(s.basis, s.pivot_cols):
+        assert len(row) == s.ambient_dim
+        assert row[c] == 1
+        assert not any(row[:c])
+        assert all(row[d] == 0 for d in s.pivot_cols if d != c)
+    assert all(s.particular[c] == 0 for c in s.pivot_cols)
+
+
+@st.composite
+def image_case(draw):
+    """Any, inconsistent or positive-dimensional system, and a prefix length 0..cols."""
+    kind = draw(st.sampled_from(["any", "inconsistent", "wide"]))
+    if kind == "any":
+        rows, b = draw(st.tuples(st.integers(1, 6), st.integers(0, 7)).flatmap(lambda shape: system(*shape)))
+    elif kind == "inconsistent":
+        rows, b = draw(st.tuples(st.integers(2, 6), st.integers(1, 6)).flatmap(
+            lambda shape: dependent_system(*shape, consistent=False)))
+    else:
+        rows, _, b = draw(st.tuples(st.integers(1, 4), st.integers(2, 4)).flatmap(
+            lambda shape: wide_consistent_system(shape[0] + 1, shape[0] + shape[1])))
+    ncols = len(rows[0])
+    return rows, b, draw(st.integers(0, ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_case())
+def test_images_match_the_old_route(case):
+    rows, b, k = case
+    ncols = len(rows[0])
+    deep, (want,) = dense_images(rows, ncols, b, [prefix_projection(k, ncols)])
+    got = solution_image(RationalMatrix(rows), b, k)
+    assert_same_subspace(got, want)
+    assert got.is_empty == deep.is_empty
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_case())
+def test_images_are_in_canonical_form(case):
+    rows, b, k = case
+    assert_canonical(solution_image(RationalMatrix(rows), b, k))
+    assert_canonical(solve_exact(RationalMatrix(rows), b))
+
+
+def test_image_prefix_bounds():
+    a = RationalMatrix([[1, 2, 3]])
+    for k in (-1, 4):
+        with pytest.raises(DimensionMismatch):
+            solution_image(a, [Fraction(1)], k)
+    with pytest.raises(DimensionMismatch):
+        solution_image(a, [Fraction(1), Fraction(2)], 1)
+
+
 def test_zero_row_and_zero_column_edge_cases():
     assert_kernel_matches([[Fraction(0)] * 3] * 2, 3, [Fraction(0), Fraction(0)])
     assert_kernel_matches([[Fraction(0)] * 3] * 2, 3, [Fraction(0), Fraction(1)])
@@ -194,7 +270,25 @@ def test_operator_matrices_match_oracle(family, lam_name):
         elif family not in FINITE:
             assert det != 0 and sol.dim == 0
         rect = restricted_operator_matrix(oracle, n, lam)
-        if rect.cols > 120 and lam_name != "zero":
-            continue  # grid3 and free2 at radius 3: the dense oracle takes seconds per weight
         b = _target(rng, rect.rows)
-        assert solve_exact(rect, b) == dense_solve(rect.entries, rect.cols, b)
+        outer = enumerate_ball(oracle, n + 1)
+        levels = [enumerate_ball(oracle, level + 1) for level in range(n + 1)]
+        deep, images = dense_images(rect.entries, rect.cols, b, [restriction_matrix(ball, outer) for ball in levels])
+        assert solve_exact(rect, b) == deep
+        for ball, want in zip(levels, images):
+            assert_same_subspace(solution_image(rect, b, ball.size), want)
+
+
+@pytest.mark.parametrize("lam_name", sorted(LAMBDAS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_chain_images_are_in_canonical_form(family, lam_name):
+    """Deeper than the oracle reaches: every image of the delta-target chain at levels 0..2."""
+    oracle = FAMILIES[family]()
+    lam = LAMBDAS[lam_name]()
+    delta = TargetFunction.delta()
+    for m in range(5):
+        rect = restricted_operator_matrix(oracle, m, lam)
+        b = delta.on_ball(enumerate_ball(oracle, m)).values
+        for level in range(min(m, 2) + 1):
+            img = solution_image(rect, b, enumerate_ball(oracle, level + 1).size)
+            assert_canonical(img)

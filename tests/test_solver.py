@@ -42,6 +42,10 @@ from exactlap.solver import (
     universal_element,
 )
 
+import exactlap.linalg as linalg_module
+import exactlap.operators as operators_module
+import exactlap.solver as solver_module
+
 LAM0 = LambdaField.zero()
 DELTA = TargetFunction.delta()
 
@@ -307,6 +311,24 @@ def test_chain_level_must_not_exceed_budget():
         run_chain(line_oracle(), DELTA, 3, 2, 3, LAM0)
     with pytest.raises(ValueError):
         run_chain(line_oracle(), DELTA, 0, 3, 0, LAM0)
+
+
+def test_chains_and_solves_never_build_deep_sets(monkeypatch):
+    """Chain images come straight from elimination: no deep canonical set,
+    no projection matrix, and no re-reduction of a spanning set."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("deep-set route called")
+
+    monkeypatch.setattr(linalg_module, "_rref_rows", forbidden)
+    monkeypatch.setattr(linalg_module, "image_under_map", forbidden)
+    monkeypatch.setattr(operators_module, "restriction_matrix", forbidden)
+    assert not hasattr(solver_module, "image_under_map")
+    assert not hasattr(solver_module, "restriction_matrix")
+    run_chain(grid_oracle(2), DELTA, 1, 6, 3, LambdaField.distance())
+    coherent_solution(tree_oracle(3), DELTA, 2, 8, 3, LAM0)
+    assert affine_solution_set(grid_oracle(2), DELTA, 2, LAM0).dim == 25 - 13
+    assert solve_on_ball(tree_oracle(3), DELTA, 2, LAM0).residual_ok
 
 
 def test_universal_element_solves_through_its_level():
