@@ -24,11 +24,9 @@ from fractions import Fraction
 
 from .errors import (
     BadFamilyParameter,
-    ChainViolation,
     EmptyUniversalSet,
     ExactLapError,
     GraphSpecError,
-    LiftFailed,
     NotStabilized,
     OracleInconsistent,
     SingularSystem,
@@ -407,9 +405,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (SpecFormatError, GraphSpecError, BadFamilyParameter, OracleInconsistent) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (ChainViolation, LiftFailed) as e:
-        print(f"anomaly: {e}", file=sys.stderr)
-        return EXIT_ANOMALY
     except ExactLapError as e:
         print(f"anomaly: {e}", file=sys.stderr)
         return EXIT_ANOMALY

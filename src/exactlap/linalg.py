@@ -27,8 +27,8 @@ what stabilization detection in the solver relies on.  `solution_image`
 writes that form down directly: it reduces its leftover rows with each
 pivot at the row's rightmost column, whose free columns are exactly the
 reduced-echelon pivot columns.  `solve_exact` uses it for every
-positive-dimensional set, so only subspaces built from a spanning set
-(`AffineSubspace(...)`, `image_under_map`) go through a dense reduction.
+positive-dimensional set, and `AffineSubspace` for a point plus a spanning
+set, so `_eliminate` and `solution_image` are the only row reduction here.
 """
 
 from __future__ import annotations
@@ -207,36 +207,16 @@ def determinant(a: RationalMatrix) -> Fraction:
     return Fraction(top, bottom)
 
 
-def _rref_rows(vectors: Iterable[Sequence[Fraction]], ambient: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a list of vectors; returns (rows, pivot columns)."""
-    rows = [list(v) for v in vectors if any(v)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ambient):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                coef = rows[i][c]
-                rows[i] = [a - coef * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
 class AffineSubspace:
     """An affine subset of Q^ambient in canonical form.
 
-    The direction space is stored as the reduced row echelon basis of
-    whatever spanning set was supplied, and the particular point is the
-    unique member of the set whose coordinates vanish on the basis pivot
-    columns.  Both are derived from the point set alone, so equal sets
-    always produce field-identical objects.  The empty set is representable.
+    The direction space is stored as its reduced row echelon basis, and
+    the particular point is the unique member of the set whose coordinates
+    vanish on the basis pivot columns.  Both are derived from the point set
+    alone, so equal sets always produce field-identical objects.  A point
+    p and spanning set V are put in this form by `solution_image`, as the
+    image on x of the solutions (x, t) of x - V^T t = p.  The empty set is
+    representable.
     """
 
     __slots__ = ("ambient_dim", "particular", "basis", "pivot_cols", "is_empty")
@@ -265,16 +245,18 @@ class AffineSubspace:
         for v in span:
             if len(v) != ambient_dim:
                 raise DimensionMismatch("spanning vector has wrong length")
-        rows, pivots = _rref_rows(span, ambient_dim) if span else ([], [])
-        reduced = list(point)
-        for row, c in zip(rows, pivots):
-            coef = reduced[c]
-            if coef:
-                reduced = [a - coef * b for a, b in zip(reduced, row)]
-        self.particular = tuple(reduced)
-        self.basis = tuple(tuple(r) for r in rows)
-        self.pivot_cols = tuple(pivots)
-        self.is_empty = False
+        self.particular, self.basis, self.pivot_cols, self.is_empty = point, (), (), False
+        if span:
+            # p + span(V) is the image on x of {(x, t) : x - V^T t = p}
+            system = RationalMatrix.from_rows(
+                (
+                    {i: _ONE, **{ambient_dim + j: -v[i] for j, v in enumerate(span) if v[i]}}
+                    for i in range(ambient_dim)
+                ),
+                ambient_dim + len(span),
+            )
+            image = solution_image(system, point, ambient_dim)
+            self.particular, self.basis, self.pivot_cols = image.particular, image.basis, image.pivot_cols
 
     @classmethod
     def _canonical(
@@ -296,7 +278,8 @@ class AffineSubspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "AffineSubspace":
-        return cls(ambient_dim, span=RationalMatrix.identity(ambient_dim).entries)
+        basis = tuple(tuple(_ONE if j == i else _ZERO for j in range(ambient_dim)) for i in range(ambient_dim))
+        return cls._canonical(ambient_dim, (_ZERO,) * ambient_dim, basis, tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int | None:

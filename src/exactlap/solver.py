@@ -42,7 +42,6 @@ from .errors import (
 from .graphs import Ball, GraphOracle, enumerate_ball
 from .linalg import (
     AffineSubspace,
-    RationalMatrix,
     affine_subset,
     determinant,
     solution_image,
@@ -303,11 +302,14 @@ def coherent_solution(
 ) -> CoherentResult:
     """Build x_0, ..., x_N with x_{n+1} extending x_n and exact residuals.
 
-    x_0 is the universal element at level 0; each later x_{n+1} is found
-    inside the stabilized image at level n+1 by pinning its values on
-    B_{n+1} to x_n and solving for the remaining basis coordinates.  The
-    pinned system is solvable whenever the stabilized images are the true
-    eventual images, so a failure raises LiftFailed rather than guessing.
+    x_0 is the universal element at level 0.  Each later x_{n+1} is read
+    off the canonical stabilized image at level n+1: its point vanishes on
+    the basis pivot columns and its basis is reduced-echelon there, so the
+    point plus x_n[c] times basis vector c, over the pivot columns c inside
+    B_{n+1}, is the only member that can extend x_n (a basis vector
+    pivoted outside B_{n+1} vanishes on all of B_{n+1}).  It does whenever
+    the stabilized images are the true eventual images; otherwise
+    LiftFailed is raised rather than a guess.
     """
     if big_n < 0:
         raise BadRadii("level count must be nonnegative")
@@ -319,25 +321,15 @@ def coherent_solution(
         _raise_if_empty(nxt, img)
         x_prev = levels[-1].values
         prefix = len(x_prev)
-        k = len(img.basis)
-        # coordinates t with (particular + basis^T t) matching x_prev on the prefix
-        pinned = RationalMatrix([[img.basis[j][i] for j in range(k)] for i in range(prefix)])
-        gap = [x - p for x, p in zip(x_prev, img.particular[:prefix])]
-        t_set = solve_exact(pinned, gap)
-        if t_set.is_empty:
+        y = list(img.particular)
+        for row, c in zip(img.basis, img.pivot_cols):
+            if c < prefix and x_prev[c]:
+                y = [a + x_prev[c] * b for a, b in zip(y, row)]
+        lifted = BallFunction(nxt.ball, tuple(y))
+        if lifted.values[:prefix] != x_prev:
             raise LiftFailed(
                 f"no element of the stabilized image at level {n + 1} extends level {n}"
             )
-        t = t_set.particular
-        y = list(img.particular)
-        for j in range(k):
-            coef = t[j]
-            if coef:
-                row = img.basis[j]
-                y = [a + coef * b for a, b in zip(y, row)]
-        lifted = BallFunction(nxt.ball, tuple(y))
-        if lifted.values[:prefix] != tuple(x_prev):
-            raise LiftFailed(f"lift at level {n + 1} failed to reproduce the prefix")
         levels.append(lifted)
     top = levels[-1]
     inner = enumerate_ball(oracle, big_n)

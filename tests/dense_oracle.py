@@ -1,14 +1,20 @@
-"""Dense fraction-free Bareiss elimination: a reference for the sparse kernel.
+"""Dense reference algorithms for the sparse kernel, independent of it.
 
 This is the package's former dense path, kept only as a differential test
-oracle.  It works on plain lists of rows, scales each row to integers once,
-eliminates column by column in natural order with exact one-step divisions,
-and back-substitutes in fractions.  The solution set it returns is put in
-the package's canonical `AffineSubspace` form, so the two paths can be
-compared by equality.
+oracle.  `bareiss_forward` works on plain lists of rows, scales each row
+to integers once, eliminates column by column in natural order with exact
+one-step divisions, and `dense_solve` back-substitutes in fractions.
+`rref` is the former dense reduced row echelon pass; `canonical` uses it
+to put a point and a spanning set in the package's canonical
+`AffineSubspace` form, so the two paths can be compared by equality.
+Nothing here builds an `AffineSubspace` from a spanning set or calls the
+package's images: the canonical fields are computed here and only wrapped.
 
 `dense_images` is the former chain route on top of it: the whole solution
-set, canonicalized, then its image under 0/1 projection matrices.
+set, canonicalized, then cut to a prefix of its coordinates.
+`pinned_lift` is the former coherent lift: it solves for the basis
+coordinates that make a member of a canonical image agree with a given
+prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +23,40 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from exactlap.linalg import AffineSubspace, RationalMatrix, image_under_map
+from exactlap.linalg import AffineSubspace
+
+
+def rref(vectors: Sequence[Sequence[Fraction]], ambient: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a list of vectors; returns (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ambient):
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        piv = rows[r][c]
+        if piv != 1:
+            rows[r] = [x / piv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                coef = rows[i][c]
+                rows[i] = [a - coef * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def canonical(ambient: int, point: Sequence[Fraction], span: Sequence[Sequence[Fraction]]) -> AffineSubspace:
+    """``point + span`` in canonical form: rref basis, point zeroed on its pivot columns."""
+    rows, pivots = rref(span, ambient)
+    reduced = [Fraction(x) for x in point]
+    for row, c in zip(rows, pivots):
+        coef = reduced[c]
+        if coef:
+            reduced = [a - coef * b for a, b in zip(reduced, row)]
+    return AffineSubspace._canonical(ambient, tuple(reduced), tuple(map(tuple, rows)), tuple(pivots))
 
 
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -120,12 +159,31 @@ def dense_solve(rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Frac
             if coef:
                 v[c] = -coef
         span.append(v)
-    return AffineSubspace(ncols, particular, span)
+    return canonical(ncols, particular, span)
 
 
 def dense_images(
-    rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction], projections: Sequence[RationalMatrix]
+    rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction], prefixes: Sequence[int]
 ) -> tuple[AffineSubspace, list[AffineSubspace]]:
-    """The dense solution set of ``rows x = b`` and its image under each projection."""
+    """The dense solution set of ``rows x = b`` and its image on each prefix of the coordinates."""
     deep = dense_solve(rows, ncols, b)
-    return deep, [image_under_map(deep, p) for p in projections]
+    if deep.is_empty:
+        return deep, [AffineSubspace.empty(k) for k in prefixes]
+    return deep, [canonical(k, deep.particular[:k], [v[:k] for v in deep.basis]) for k in prefixes]
+
+
+def pinned_lift(image: AffineSubspace, prefix: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """The member ``particular + basis^T t`` of a canonical image with the canonical
+    solution t of the system pinning its first coordinates to ``prefix``; None when
+    that system has no solution."""
+    k = len(image.basis)
+    pinned = [[image.basis[j][i] for j in range(k)] for i in range(len(prefix))]
+    gap = [x - p for x, p in zip(prefix, image.particular)]
+    t_set = dense_solve(pinned, k, gap)
+    if t_set.is_empty:
+        return None
+    y = list(image.particular)
+    for coef, row in zip(t_set.particular, image.basis):
+        if coef:
+            y = [a + coef * b for a, b in zip(y, row)]
+    return tuple(y)

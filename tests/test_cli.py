@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, wire formats."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -220,6 +221,26 @@ def test_chain_residual_recheck_rejects_a_corrupted_image(capsys, monkeypatch):
     assert code == EXIT_ANOMALY
     assert out == ""
     assert "misses the target" in err
+
+
+def test_coherent_lift_failure_is_an_anomaly(capsys, monkeypatch):
+    """A stabilized image from level 1 on replaced by a single point off by one
+    at the root: no member extends the level below, so the lift must refuse."""
+    real = solver_module.run_chain
+
+    def shifted(oracle, target, n, max_m, window, lam):
+        state = real(oracle, target, n, max_m, window, lam)
+        if n < 1:
+            return state
+        m, img = state.images[-1]
+        point = AffineSubspace.from_point((img.particular[0] + 1,) + img.particular[1:])
+        return dataclasses.replace(state, images=state.images[:-1] + ((m, point),))
+
+    monkeypatch.setattr(solver_module, "run_chain", shifted)
+    code, out, err = invoke(capsys, ["--mode", "coherent", "--graph", "z", "--radius", "1"])
+    assert code == EXIT_ANOMALY
+    assert out == ""
+    assert err.strip() == "anomaly: no element of the stabilized image at level 1 extends level 0"
 
 
 def test_chain_window_exceeded_is_a_valid_observation(capsys):

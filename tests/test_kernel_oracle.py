@@ -4,11 +4,15 @@ Determinants must agree exactly, and solution sets and their images on a
 prefix of the coordinates must be equal as canonical affine subspaces (by
 `==` and by pivot columns), on random rational matrices of every shape and
 on the operator matrices of every built-in graph family.  The images are
-compared with the former chain route: the whole dense solution set, then a
-0/1 projection.  A structural check, with no oracle, asserts the canonical
-form of every image itself.
+compared with the former chain route: the whole dense solution set, then
+cut to a prefix.  Subspaces built from a point and a spanning set, and
+their images under a map, are compared with the oracle's own reduced row
+echelon form, and the levels of `coherent_solution` with the former pinned
+lift.  A structural check, with no oracle, asserts the canonical form of
+every image itself.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_determinant, dense_images, dense_solve
+from dense_oracle import canonical, dense_determinant, dense_images, dense_solve, pinned_lift
 from exactlap.errors import DimensionMismatch
 from exactlap.graphs import (
     custom_oracle,
@@ -29,7 +33,7 @@ from exactlap.graphs import (
     path_oracle,
     tree_oracle,
 )
-from exactlap.linalg import RationalMatrix, determinant, solution_image, solve_exact
+from exactlap.linalg import AffineSubspace, RationalMatrix, determinant, image_under_map, solution_image, solve_exact
 from exactlap.operators import (
     LambdaField,
     TargetFunction,
@@ -37,6 +41,9 @@ from exactlap.operators import (
     restriction_matrix,
     truncated_operator_matrix,
 )
+from exactlap.solver import coherent_solution
+
+import exactlap.solver as solver_module
 
 # --- random matrices ---------------------------------------------------------
 
@@ -143,10 +150,6 @@ def test_positive_dimensional_sets_match_the_oracle(sys_):
     assert sol == dense_solve(rows, ncols, b)
 
 
-def prefix_projection(k, ncols):
-    return RationalMatrix.from_rows(({j: Fraction(1)} for j in range(k)), ncols)
-
-
 def assert_same_subspace(got, want):
     assert got == want
     assert got.pivot_cols == want.pivot_cols
@@ -189,7 +192,7 @@ def image_case(draw):
 def test_images_match_the_old_route(case):
     rows, b, k = case
     ncols = len(rows[0])
-    deep, (want,) = dense_images(rows, ncols, b, [prefix_projection(k, ncols)])
+    deep, (want,) = dense_images(rows, ncols, b, [k])
     got = solution_image(RationalMatrix(rows), b, k)
     assert_same_subspace(got, want)
     assert got.is_empty == deep.is_empty
@@ -201,6 +204,43 @@ def test_images_are_in_canonical_form(case):
     rows, b, k = case
     assert_canonical(solution_image(RationalMatrix(rows), b, k))
     assert_canonical(solve_exact(RationalMatrix(rows), b))
+
+
+@st.composite
+def span_case(draw):
+    """A point, a spanning set that may be empty or hold zero, repeated or
+    dependent vectors, and a map to apply to the subspace they span."""
+    n = draw(st.integers(0, 6))
+    vector = st.lists(entry, min_size=n, max_size=n)
+    point = draw(vector)
+    span = draw(st.lists(vector, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "combination"]), max_size=3)):
+        if kind == "zero" or not span:
+            span.append([Fraction(0)] * n)
+        elif kind == "repeat":
+            span.append(list(draw(st.sampled_from(span))))
+        else:
+            coefs = draw(st.lists(entry, min_size=len(span), max_size=len(span)))
+            span.append([sum((c * v[j] for c, v in zip(coefs, span)), Fraction(0)) for j in range(n)])
+    span = draw(st.permutations(span))
+    m = draw(st.integers(1, 5).flatmap(lambda rows: rows_of(rows, n)))
+    return n, point, span, m
+
+
+def _dot(r, v):
+    return sum((x * y for x, y in zip(r, v)), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_case())
+def test_spans_and_their_images_match_the_oracle(case):
+    n, point, span, m = case
+    s = AffineSubspace(n, point, span)
+    assert_same_subspace(s, canonical(n, point, span))
+    assert_canonical(s)
+    # the image of p + span(V) under M is M p + span(M V)
+    want = canonical(len(m), [_dot(r, point) for r in m], [[_dot(r, v) for r in m] for v in span])
+    assert_same_subspace(image_under_map(s, RationalMatrix(m)), want)
 
 
 def test_image_prefix_bounds():
@@ -273,10 +313,12 @@ def test_operator_matrices_match_oracle(family, lam_name):
         b = _target(rng, rect.rows)
         outer = enumerate_ball(oracle, n + 1)
         levels = [enumerate_ball(oracle, level + 1) for level in range(n + 1)]
-        deep, images = dense_images(rect.entries, rect.cols, b, [restriction_matrix(ball, outer) for ball in levels])
-        assert solve_exact(rect, b) == deep
+        deep, images = dense_images(rect.entries, rect.cols, b, [ball.size for ball in levels])
+        sol = solve_exact(rect, b)
+        assert_same_subspace(sol, deep)
         for ball, want in zip(levels, images):
             assert_same_subspace(solution_image(rect, b, ball.size), want)
+            assert_same_subspace(image_under_map(sol, restriction_matrix(ball, outer)), want)
 
 
 @pytest.mark.parametrize("lam_name", sorted(LAMBDAS))
@@ -292,3 +334,50 @@ def test_chain_images_are_in_canonical_form(family, lam_name):
         for level in range(min(m, 2) + 1):
             img = solution_image(rect, b, enumerate_ball(oracle, level + 1).size)
             assert_canonical(img)
+
+
+def _widened(run_chain):
+    """``run_chain`` with the root indicator and one fixed random direction (its
+    prefixes agree across levels) added to every stabilized image from level 1 on.
+    The true images make every lift the canonical point itself; a widened image
+    still holds an extension of the level below, but its canonical point moves,
+    so the lift has to combine basis vectors."""
+
+    def run(oracle, target, n, max_m, window, lam):
+        state = run_chain(oracle, target, n, max_m, window, lam)
+        if n == 0:
+            return state
+        m, img = state.images[-1]
+        k = img.ambient_dim
+        extra = [[Fraction(int(j == 0)) for j in range(k)], _target(random.Random(0), k)]
+        wide = AffineSubspace(k, img.particular, list(img.basis) + extra)
+        return dataclasses.replace(state, images=state.images[:-1] + ((m, wide),))
+
+    return run
+
+
+@pytest.mark.parametrize("widen", [False, True], ids=["true", "widened"])
+@pytest.mark.parametrize("lam_name", sorted(LAMBDAS))
+@pytest.mark.parametrize("family", ["line", "grid2", "tree3", "ladder2", "free2"])
+def test_coherent_levels_match_the_pinned_lift(family, lam_name, widen, monkeypatch):
+    """The coherent lift reads basis coefficients off the pivot columns; the
+    former lift solved a pinned system for them.  Both must give the same levels."""
+    if widen:
+        monkeypatch.setattr(solver_module, "run_chain", _widened(solver_module.run_chain))
+    oracle = FAMILIES[family]()
+    lam = LAMBDAS[lam_name]()
+    rng = random.Random(f"lift:{family}:{lam_name}")
+    delta = TargetFunction.delta()
+    sparse = TargetFunction.sparse({v: x for v, x in enumerate(_target(rng, 5)) if x})
+    for target in (delta, sparse):
+        result = coherent_solution(oracle, target, 2, 6, 3, lam)
+        images = [solver_module.run_chain(oracle, target, n, 6, 3, lam).stabilized_image for n in range(3)]
+        want = [images[0].particular]
+        for img in images[1:]:
+            want.append(pinned_lift(img, want[-1]))
+        assert [x.values for x in result.levels] == want
+        moved = [x.values != img.particular for x, img in zip(result.levels, images)]
+        if not widen:
+            assert not any(moved)  # canonical points of true images already extend
+        elif target is delta:
+            assert moved == [False, True, True]

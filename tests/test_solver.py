@@ -314,19 +314,23 @@ def test_chain_level_must_not_exceed_budget():
 
 
 def test_chains_and_solves_never_build_deep_sets(monkeypatch):
-    """Chain images come straight from elimination: no deep canonical set,
-    no projection matrix, and no re-reduction of a spanning set."""
+    """Chain images come straight from elimination: no deep canonical set, no
+    projection matrix, no dense reduction of a spanning set, and the coherent
+    lift reads its coefficients off the canonical form without solving."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("deep-set route called")
 
-    monkeypatch.setattr(linalg_module, "_rref_rows", forbidden)
+    assert not hasattr(linalg_module, "_rref_rows")
     monkeypatch.setattr(linalg_module, "image_under_map", forbidden)
     monkeypatch.setattr(operators_module, "restriction_matrix", forbidden)
     assert not hasattr(solver_module, "image_under_map")
     assert not hasattr(solver_module, "restriction_matrix")
-    run_chain(grid_oracle(2), DELTA, 1, 6, 3, LambdaField.distance())
-    coherent_solution(tree_oracle(3), DELTA, 2, 8, 3, LAM0)
+    with monkeypatch.context() as m:
+        m.setattr(solver_module, "solve_exact", forbidden)
+        m.setattr(linalg_module.RationalMatrix, "__init__", forbidden)
+        run_chain(grid_oracle(2), DELTA, 1, 6, 3, LambdaField.distance())
+        coherent_solution(tree_oracle(3), DELTA, 2, 8, 3, LAM0)
     assert affine_solution_set(grid_oracle(2), DELTA, 2, LAM0).dim == 25 - 13
     assert solve_on_ball(tree_oracle(3), DELTA, 2, LAM0).residual_ok
 
