@@ -35,12 +35,10 @@ class GraphOracle:
         root_key: Hashable,
         raw_neighbors: Callable[[Hashable], Iterable[Hashable]],
         label: Callable[[Hashable], str] = str,
-        finite_hint: bool | None = None,
         name: str = "custom",
     ) -> None:
         self._raw = raw_neighbors
         self._label_fn = label
-        self.finite_hint = finite_hint
         self.name = name
         self._keys: list[Hashable] = [root_key]
         self._ids: dict[Hashable, int] = {root_key: 0}
@@ -212,7 +210,7 @@ def validate_oracle(oracle: GraphOracle, probe_radius: int) -> ValidationReport:
 
 def line_oracle() -> GraphOracle:
     """Integer line; neighbors of k are (k-1, k+1)."""
-    return GraphOracle(0, lambda k: (k - 1, k + 1), finite_hint=False, name="line")
+    return GraphOracle(0, lambda k: (k - 1, k + 1), name="line")
 
 
 def grid_oracle(dims: int) -> GraphOracle:
@@ -233,7 +231,7 @@ def grid_oracle(dims: int) -> GraphOracle:
     def label(key):
         return "(" + ",".join(str(c) for c in key) + ")"
 
-    return GraphOracle((0,) * dims, raw, label=label, finite_hint=False, name=f"grid{dims}")
+    return GraphOracle((0,) * dims, raw, label=label, name=f"grid{dims}")
 
 
 def tree_oracle(degree: int) -> GraphOracle:
@@ -253,7 +251,7 @@ def tree_oracle(degree: int) -> GraphOracle:
     def label(key):
         return "e" if not key else "-".join(str(c) for c in key)
 
-    return GraphOracle((), raw, label=label, finite_hint=False, name=f"tree{degree}")
+    return GraphOracle((), raw, label=label, name=f"tree{degree}")
 
 
 def ladder_oracle(width: int = 2) -> GraphOracle:
@@ -277,7 +275,7 @@ def ladder_oracle(width: int = 2) -> GraphOracle:
     def label(key):
         return f"({key[0]},{key[1]})"
 
-    return GraphOracle((0, 0), raw, label=label, finite_hint=False, name=f"ladder{width}")
+    return GraphOracle((0, 0), raw, label=label, name=f"ladder{width}")
 
 
 _GENERATOR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -312,19 +310,14 @@ def free_group_oracle(rank: int) -> GraphOracle:
         )
         return "".join(letters)
 
-    return GraphOracle((), raw, label=label, finite_hint=False, name=f"free{rank}")
+    return GraphOracle((), raw, label=label, name=f"free{rank}")
 
 
 def cycle_oracle(size: int) -> GraphOracle:
     """Finite cycle; neighbors of i are ((i-1) mod size, (i+1) mod size)."""
     if size < 3:
         raise BadFamilyParameter(f"cycle size must be >= 3, got {size}")
-    return GraphOracle(
-        0,
-        lambda i: ((i - 1) % size, (i + 1) % size),
-        finite_hint=True,
-        name=f"cycle{size}",
-    )
+    return GraphOracle(0, lambda i: ((i - 1) % size, (i + 1) % size), name=f"cycle{size}")
 
 
 def path_oracle(size: int) -> GraphOracle:
@@ -335,7 +328,7 @@ def path_oracle(size: int) -> GraphOracle:
     def raw(i):
         return [j for j in (i - 1, i + 1) if 0 <= j < size]
 
-    return GraphOracle(0, raw, finite_hint=True, name=f"path{size}")
+    return GraphOracle(0, raw, name=f"path{size}")
 
 
 def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) -> GraphOracle:
@@ -381,7 +374,7 @@ def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) 
         missing = sorted(set(range(vertices)) - reached)
         raise GraphSpecError(f"graph is not connected; unreachable vertices {missing}")
     lists = [tuple(sorted(s)) for s in adj]
-    return GraphOracle(root, lambda i: lists[i], finite_hint=True, name="custom")
+    return GraphOracle(root, lambda i: lists[i], name="custom")
 
 
 def family_oracle(spec: dict) -> GraphOracle:

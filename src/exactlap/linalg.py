@@ -15,20 +15,24 @@ prefix of the coordinates:
 * zeros from cancellation are dropped at once, so the stored pattern is
   the exact nonzero pattern and a chosen pivot is never zero; a column
   whose nonzeros run out is a rank loss (zero determinant, free unknown);
-* pivots may be confined to the columns from some ``k`` on: the rows left
-  without a pivot then constrain the first ``k`` unknowns alone and cut
-  out the image of the solution set there (`solution_image`).
+* the columns from some ``k`` on may be taken first, and the first ``k``
+  then from the right: the rows left without a pivot after the first
+  phase constrain the first ``k`` unknowns alone and cut out the image of
+  the solution set there (`solution_image`), and each later pivot sits at
+  its row's rightmost column.
 
 Affine subspaces are kept in a canonical form (reduced-echelon direction
 basis, particular point zeroed on the basis pivot columns) so that two
 subspaces are equal as point sets exactly when their stored fields are
 identical.  Set equality therefore reduces to tuple comparison, which is
-what stabilization detection in the solver relies on.  `solution_image`
-writes that form down directly: it reduces its leftover rows with each
-pivot at the row's rightmost column, whose free columns are exactly the
-reduced-echelon pivot columns.  `solve_exact` uses it for every
-positive-dimensional set, and `AffineSubspace` for a point plus a spanning
-set, so `_eliminate` and `solution_image` are the only row reduction here.
+what stabilization detection in the solver relies on.  One back pass,
+`_read_off`, clears each pivot row of the pivot columns taken after it and
+reads the set off the cleared rows: the unique point of `solve_exact`, and
+the canonical form of `solution_image`, whose columns left without a pivot
+are exactly the reduced-echelon pivot columns.  `solve_exact` hands every
+positive-dimensional set to `solution_image`, and `AffineSubspace` a point
+plus a spanning set, so `_eliminate` is the only code here that chooses
+pivots and `_read_off` the only one that back-reduces.
 """
 
 from __future__ import annotations
@@ -66,10 +70,6 @@ class RationalMatrix:
         m.rows, m.cols = len(m.sparse_rows), cols
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows(({i: Fraction(1)} for i in range(n)), n)
-
     @property
     def entries(self) -> tuple[Vector, ...]:
         """Dense row tuples, built on demand."""
@@ -91,25 +91,8 @@ class RationalMatrix:
             )
         return tuple(sum((x * v[j] for j, x in r.items()), _ZERO) for r in self.sparse_rows)
 
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out = []
-        for r in self.sparse_rows:
-            acc: dict[int, Fraction] = {}
-            for k, x in r.items():
-                for j, y in other.sparse_rows[k].items():
-                    acc[j] = acc.get(j, _ZERO) + x * y
-            out.append({j: x for j, x in acc.items() if x})
-        return RationalMatrix.from_rows(out, other.cols)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalMatrix) and (self.cols, self.sparse_rows) == (other.cols, other.sparse_rows)
-
-    def __hash__(self) -> int:
-        return hash((self.cols, tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -118,14 +101,17 @@ class RationalMatrix:
 def _eliminate(
     a: RationalMatrix, rhs: Sequence[Fraction] | None = None, first: int = 0
 ) -> tuple[list[dict[int, int]], list[tuple[int, int]], list[int], list[int]]:
-    """Sparse fraction-free forward elimination of ``a``, augmented by ``rhs``.
+    """Sparse fraction-free elimination of ``a``, augmented by ``rhs``.
 
-    Only columns ``first`` and beyond may hold a pivot.  Returns ``(rows,
-    pivots, num, den)``: integer rows with the right-hand side under key
-    ``a.cols``, where row i now stands for ``rows[i] * num[i] / den[i]``; and
-    the ``(row, column)`` pivots in elimination order.  A pivot row keeps
-    only columns pivoted later or never; a row that never pivots ends with
-    columns below ``first`` and its right-hand side at most.
+    The columns ``first`` and beyond are taken in minimum-degree order,
+    then the columns ``first - 1, ..., 0`` from the right.  When one of
+    those comes up, every row without a pivot holds only columns up to it,
+    so its pivot is its row's rightmost column.  Returns ``(rows, pivots,
+    num, den)``: integer rows with the right-hand side under key
+    ``a.cols``, where row i now stands for ``rows[i] * num[i] / den[i]``;
+    and the ``(row, column)`` pivots in elimination order.  A pivot row
+    keeps only columns pivoted later or never; a row that never pivots
+    keeps its right-hand side at most.
     """
     from heapq import heapify, heappop, heappush  # imported here to keep CLI start-up lean
 
@@ -145,14 +131,18 @@ def _eliminate(
             col_rows[j].add(i)
     heap = [(len(col_rows[j]), j) for j in range(first, ncols)]
     heapify(heap)
-    pivots = []
-    while heap:
-        count, c = heappop(heap)
-        active = col_rows[c]
-        if active is None or count != len(active):
-            continue  # finished column, or a stale count
+    pivots, low = [], first
+    while heap or low:
+        if heap:
+            count, c = heappop(heap)
+            active = col_rows[c]
+            if active is None or count != len(active):
+                continue  # finished column, or a stale count
+        else:
+            low -= 1
+            c, active = low, col_rows[low]
         col_rows[c] = None
-        if not count:
+        if not active:
             continue  # rank loss: no row left with a nonzero here
         p = min(active, key=lambda i: (len(rows[i]), i))
         piv = rows[p][c]
@@ -226,16 +216,8 @@ class AffineSubspace:
         ambient_dim: int,
         particular: Sequence[Fraction] | None = None,
         span: Iterable[Sequence[Fraction]] = (),
-        *,
-        empty: bool = False,
     ) -> None:
         self.ambient_dim = ambient_dim
-        if empty:
-            self.particular: Vector = ()
-            self.basis: tuple[Vector, ...] = ()
-            self.pivot_cols: tuple[int, ...] = ()
-            self.is_empty = True
-            return
         if particular is None:
             particular = (Fraction(0),) * ambient_dim
         point = tuple(map(Fraction, particular))
@@ -270,7 +252,9 @@ class AffineSubspace:
 
     @classmethod
     def empty(cls, ambient_dim: int) -> "AffineSubspace":
-        return cls(ambient_dim, empty=True)
+        s = cls._canonical(ambient_dim, (), (), ())
+        s.is_empty = True
+        return s
 
     @classmethod
     def from_point(cls, point: Sequence[Fraction]) -> "AffineSubspace":
@@ -331,11 +315,10 @@ class AffineSubspace:
 def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     """Full solution set of ``a x = b`` as a canonical affine subspace.
 
-    Minimum-degree elimination of the augmented system decides consistency
-    and rank.  A unique solution is back-substituted from its pivot rows; a
-    positive-dimensional set is read off by `solution_image` over all of its
-    coordinates.  The result may be a point, a positive-dimensional set, or
-    empty.
+    Minimum-degree elimination of the augmented system decides the rank.
+    A positive-dimensional set is handed to `solution_image` over all of
+    its coordinates; otherwise `_read_off` gives the unique point or the
+    empty set.
     """
     if a.rows != len(b):
         raise DimensionMismatch(
@@ -343,16 +326,10 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
         )
     n = a.cols
     rows, pivots, _, _ = _eliminate(a, b)
-    if any(rows[i] for i in set(range(a.rows)) - {p for p, _ in pivots}):
-        return AffineSubspace.empty(n)
     if len(pivots) < n:
         return solution_image(a, b, n)
-    x = [_ZERO] * n
-    for p, c in reversed(pivots):  # a pivot row holds only columns pivoted later
-        r = rows[p]
-        rest = sum((v * x[j] for j, v in r.items() if j != c and j != n), _ZERO)
-        x[c] = (r.get(n, 0) - rest) / r[c]
-    return AffineSubspace.from_point(x)
+    s = _read_off(rows, pivots, n, n)
+    return s if s.is_empty else AffineSubspace.from_point(s.particular)
 
 
 def _combine(r: dict[int, int], q: dict[int, int], c: int) -> dict[int, int]:
@@ -371,46 +348,29 @@ def _combine(r: dict[int, int], q: dict[int, int], c: int) -> dict[int, int]:
     return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSubspace:
-    """Canonical image of the solution set of ``a x = b`` on its first ``k`` coordinates.
+def _read_off(rows: list[dict[int, int]], pivots: list[tuple[int, int]], n: int, k: int) -> AffineSubspace:
+    """The set an `_eliminate` result cuts out on its first ``k`` coordinates.
 
-    The unknowns from column ``k`` on are eliminated first, in
-    minimum-degree order.  Each of them is then pivoted (solvable from the
-    others) or free, so the rows left without a pivot, which involve only
-    the first ``k`` unknowns, cut out the image exactly; one left with only
-    a right-hand side makes it empty.  Those rows are reduced with each
-    row's pivot at its rightmost column.  The columns left without a pivot
-    are then the reduced-echelon pivot columns of the image's direction
-    space: the null vector of such a column f involves only f and pivot
-    columns to its right, so it vanishes left of f.  The canonical basis
-    and particular point are read off the reduced rows directly.
+    ``n`` is the right-hand side key.  A row left without a pivot that keeps
+    a right-hand side makes the set empty.  Each pivot row below ``k`` is
+    cleared of the pivot columns taken after it, latest first, which leaves
+    it with its pivot, columns that never pivot, and its right-hand side.
+    When every unknown from ``k`` on was pivoted first and the rest from the
+    right, the columns below ``k`` that never pivot are the reduced-echelon
+    pivot columns of the direction space: the null vector of such a column
+    f involves only f and pivot columns to its right, so it vanishes left
+    of f.  The canonical basis and particular point are then read off.
     """
-    if a.rows != len(b):
-        raise DimensionMismatch(
-            f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
-        )
-    if not 0 <= k <= a.cols:
-        raise DimensionMismatch(f"cannot take {k} of {a.cols} coordinates")
-    rows, pivots, _, _ = _eliminate(a, b, k)
     pivoted = {p for p, _ in pivots}
-    pivot_rows: dict[int, dict[int, int]] = {}  # pivot column -> row; the rhs key is >= k
-    for i, r in enumerate(rows):
-        if i in pivoted:
-            continue
-        while r:
-            c = max((j for j in r if j < k), default=None)
-            if c is None:
-                return AffineSubspace.empty(k)  # 0 = nonzero right-hand side
-            q = pivot_rows.get(c)
-            if q is None:
-                pivot_rows[c] = r
-                break
-            r = _combine(r, q, c)
-    for c in sorted(pivot_rows):  # clear pivot columns to the left, smallest first
-        r = pivot_rows[c]
-        for q in [j for j in r if j < c and j in pivot_rows]:
-            r = _combine(r, pivot_rows[q], q)
-        pivot_rows[c] = r
+    if any(r for i, r in enumerate(rows) if i not in pivoted):
+        return AffineSubspace.empty(k)  # 0 = nonzero right-hand side
+    pivot_rows: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
+    for p, c in reversed(pivots):
+        if c < k:
+            r = rows[p]
+            for q in [j for j in r if j in pivot_rows]:
+                r = _combine(r, pivot_rows[q], q)
+            pivot_rows[c] = r
     free = [j for j in range(k) if j not in pivot_rows]
     particular = [_ZERO] * k
     basis = {f: [_ZERO] * k for f in free}
@@ -418,12 +378,30 @@ def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSu
         basis[f][f] = _ONE
     for c, r in pivot_rows.items():
         for j, x in r.items():
-            if j < k:
-                if j != c:
-                    basis[j][c] = Fraction(-x, r[c])
-            else:
+            if j == n:
                 particular[c] = Fraction(x, r[c])
+            elif j != c:
+                basis[j][c] = Fraction(-x, r[c])
     return AffineSubspace._canonical(k, tuple(particular), tuple(tuple(basis[f]) for f in free), tuple(free))
+
+
+def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSubspace:
+    """Canonical image of the solution set of ``a x = b`` on its first ``k`` coordinates.
+
+    `_eliminate` takes the unknowns from column ``k`` on first, in
+    minimum-degree order.  Each of them is then pivoted (solvable from the
+    others) or free, so the rows left without a pivot, which involve only
+    the first ``k`` unknowns, cut out the image exactly.  It then takes
+    the first ``k`` columns from the right, and `_read_off` writes the
+    canonical form down.
+    """
+    if a.rows != len(b):
+        raise DimensionMismatch(
+            f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
+        )
+    if not 0 <= k <= a.cols:
+        raise DimensionMismatch(f"cannot take {k} of {a.cols} coordinates")
+    return _read_off(*_eliminate(a, b, k)[:2], a.cols, k)
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:
@@ -448,11 +426,6 @@ def subspace_equal(s1: AffineSubspace, s2: AffineSubspace) -> bool:
             f"comparing subspaces of Q^{s1.ambient_dim} and Q^{s2.ambient_dim}"
         )
     return s1 == s2
-
-
-def subspace_dim(s: AffineSubspace) -> int | None:
-    """Affine dimension; None for the empty set."""
-    return s.dim
 
 
 def affine_subset(inner: AffineSubspace, outer: AffineSubspace) -> bool:

@@ -23,7 +23,7 @@ from .errors import SpecFormatError
 from .graphs import GraphOracle, family_oracle
 from .operators import BallFunction, LambdaField, TargetFunction
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
+_FRACTION_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$", re.ASCII)
 
 
 def format_fraction(x: Fraction) -> str:
@@ -76,7 +76,7 @@ def _load_spec_text(text: str, what: str) -> dict:
     return obj
 
 
-_GRAPH_SHORTHAND = re.compile(r"^(z|z2|z3|tree(\d+)|ladder(\d*)|free(\d+)|c(\d+)|p(\d+))$")
+_GRAPH_SHORTHAND = re.compile(r"^(z|z2|z3|tree(\d+)|ladder(\d*)|free(\d+)|c(\d+)|p(\d+))$", re.ASCII)
 
 
 def graph_spec_from_text(text: str) -> dict:
@@ -220,18 +220,13 @@ def solution_to_json(fn: BallFunction) -> dict[str, str]:
     return {label: format_fraction(x) for label, x in fn.label_items()}
 
 
-def solution_from_json(oracle: GraphOracle, values: Mapping[str, str]) -> dict[str, Fraction]:
-    """Parse a solution dict back to exact rationals, keyed by label."""
-    return {str(k): parse_fraction(v) for k, v in values.items()}
-
-
 def ball_function_from_json(ball, values: Mapping[str, str]) -> BallFunction:
     """Rebuild a function on a ball from label-keyed JSON values.
 
     Labels are injective within every built-in family, so the mapping back
     to ids is unambiguous; missing or extra labels are an error.
     """
-    parsed = solution_from_json(ball.oracle, values)
+    parsed = {str(k): parse_fraction(v) for k, v in values.items()}
     out = []
     for v in ball.vertices:
         label = ball.oracle.label(v)

@@ -53,7 +53,7 @@ def test_parse_fraction_accepts_exact_forms():
     assert parse_fraction("-0") == 0
 
 
-@pytest.mark.parametrize("bad", ["2/0", "1.5", "a/b", "", "1/2/3", 1.5, True, None, [1]])
+@pytest.mark.parametrize("bad", ["2/0", "1.5", "a/b", "", "1/2/3", 1.5, True, None, [1], "\uff11", "1/\u0663"])
 def test_parse_fraction_rejects_inexact_or_malformed(bad):
     with pytest.raises(SpecFormatError):
         parse_fraction(bad)
@@ -357,6 +357,10 @@ def test_usage_errors_exit_64(capsys, argv):
         ["--graph", "z", "--mode", "ball", "--radius", "1", "--lambda", "-1"],
         ["--graph", "z", "--target", '{"kind":"wat"}', "--mode", "ball", "--radius", "1"],
         ["--graph", "missing_file.json", "--mode", "ball", "--radius", "1"],
+        # non-ASCII digits are not numbers of the input formats
+        ["--graph", "z", "--mode", "ball", "--radius", "1", "--lambda", "\uff11"],
+        ["--graph", "z", "--target", "radial:\uff11/\uff12,\u0663", "--mode", "ball", "--radius", "1"],
+        ["--graph", "tree\uff13", "--mode", "ball", "--radius", "1"],
     ],
 )
 def test_invalid_inputs_exit_3(capsys, argv):

@@ -8,8 +8,8 @@ compared with the former chain route: the whole dense solution set, then
 cut to a prefix.  Subspaces built from a point and a spanning set, and
 their images under a map, are compared with the oracle's own reduced row
 echelon form, and the levels of `coherent_solution` with the former pinned
-lift.  A structural check, with no oracle, asserts the canonical form of
-every image itself.
+lift.  Structural checks, with no oracle, assert the canonical form of
+every image itself and the order in which the kernel takes its pivots.
 """
 
 import dataclasses
@@ -33,7 +33,15 @@ from exactlap.graphs import (
     path_oracle,
     tree_oracle,
 )
-from exactlap.linalg import AffineSubspace, RationalMatrix, determinant, image_under_map, solution_image, solve_exact
+from exactlap.linalg import (
+    AffineSubspace,
+    RationalMatrix,
+    _eliminate,
+    determinant,
+    image_under_map,
+    solution_image,
+    solve_exact,
+)
 from exactlap.operators import (
     LambdaField,
     TargetFunction,
@@ -204,6 +212,25 @@ def test_images_are_in_canonical_form(case):
     rows, b, k = case
     assert_canonical(solution_image(RationalMatrix(rows), b, k))
     assert_canonical(solve_exact(RationalMatrix(rows), b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(image_case())
+def test_kernel_pivots_the_prefix_last_from_the_right(case):
+    """Pivots on columns below k come after all others, right to left, each
+    at its row's rightmost column below k; a row left without a pivot keeps
+    its right-hand side at most."""
+    rows, b, _ = case
+    a = RationalMatrix(rows)
+    for k in range(a.cols + 1):
+        reduced, pivots, _, _ = _eliminate(a, b, k)
+        low = [(p, c) for p, c in pivots if c < k]
+        assert pivots[len(pivots) - len(low):] == low
+        assert all(c1 > c2 for (_, c1), (_, c2) in zip(low, low[1:]))
+        for p, c in low:
+            assert max(j for j in reduced[p] if j < k) == c
+        pivoted = {p for p, _ in pivots}
+        assert all(set(r) <= {a.cols} for i, r in enumerate(reduced) if i not in pivoted)
 
 
 @st.composite

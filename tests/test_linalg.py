@@ -15,7 +15,6 @@ from exactlap.linalg import (
     determinant,
     image_under_map,
     solve_exact,
-    subspace_dim,
     subspace_equal,
 )
 
@@ -81,7 +80,7 @@ def test_determinant_matches_cofactor_expansion():
 
 def test_determinant_known_values():
     assert determinant(RationalMatrix([[Fraction(3, 7)]])) == Fraction(3, 7)
-    assert determinant(RationalMatrix.identity(4)) == 1
+    assert determinant(RationalMatrix([[int(i == j) for j in range(4)] for i in range(4)])) == 1
     m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
     assert determinant(RationalMatrix(m)) == -2
     # repeated row forces zero without any pivoting luck
@@ -114,7 +113,8 @@ def _square(n):
 def test_determinant_is_multiplicative(a_rows, b_rows):
     a = RationalMatrix(a_rows)
     b = RationalMatrix(b_rows)
-    assert determinant(a.matmul(b)) == determinant(a) * determinant(b)
+    product = [[sum(x * b_rows[k][j] for k, x in enumerate(row)) for j in range(3)] for row in a_rows]
+    assert determinant(RationalMatrix(product)) == determinant(a) * determinant(b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,7 +158,6 @@ def test_solve_inconsistent_is_empty():
     sol = solve_exact(a, [Fraction(1), Fraction(3)])
     assert sol.is_empty
     assert sol.dim is None
-    assert subspace_dim(sol) is None
 
 
 def test_solve_rank_deficient_but_consistent():
@@ -317,14 +316,11 @@ def test_matrix_basics():
     assert m.entry(1, 0) == 3
     assert m.row(0) == (1, 2)
     assert m.mul_vec([Fraction(1), Fraction(1)]) == (3, 7)
-    assert m.matmul(RationalMatrix.identity(2)) == m
     zeros = RationalMatrix([[0, 0, 0], [0, 0, 0]])
     assert zeros.entries == ((0, 0, 0), (0, 0, 0))
     assert zeros.sparse_rows == ({}, {})
     assert (zeros.rows, zeros.cols) == (2, 3)
     with pytest.raises(DimensionMismatch):
         m.mul_vec([Fraction(1)])
-    with pytest.raises(DimensionMismatch):
-        m.matmul(RationalMatrix([[1, 2, 3]]))
     with pytest.raises(DimensionMismatch):
         RationalMatrix([[1, 2], [3]])

@@ -191,9 +191,15 @@ def test_restriction_matrix_is_prefix_projection():
 def test_restriction_matrices_compose():
     oracle = grid_oracle(2)
     b1, b2, b3 = (enumerate_ball(oracle, n) for n in (1, 2, 3))
-    direct = restriction_matrix(b1, b3)
-    assert restriction_matrix(b1, b2).matmul(restriction_matrix(b2, b3)) == direct
-    assert restriction_matrix(b2, b2) == RationalMatrix.identity(b2.size)
+    direct, r12, r23 = restriction_matrix(b1, b3), restriction_matrix(b1, b2), restriction_matrix(b2, b3)
+    assert (r12.cols, r23.rows) == (b2.size, b2.size)
+    assert (direct.rows, direct.cols) == (r12.rows, r23.cols)
+    for j in range(b3.size):  # column by column: r12 r23 == direct
+        unit = tuple(Fraction(int(i == j)) for i in range(b3.size))
+        assert r12.mul_vec(r23.mul_vec(unit)) == direct.mul_vec(unit)
+    same = restriction_matrix(b2, b2)
+    assert (same.rows, same.cols) == (b2.size, b2.size)
+    assert same.sparse_rows == tuple({i: 1} for i in range(b2.size))
 
 
 def test_restriction_matrix_rejects_bad_pairs():
