@@ -144,62 +144,34 @@ def enumerate_ball(oracle: GraphOracle, n: int) -> Ball:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "loop" | "duplicate" | "asymmetry" | "isolated"
-    vertex: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    probe_radius: int
-    vertices_checked: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_oracle(oracle: GraphOracle, probe_radius: int) -> ValidationReport:
+def validate_oracle(oracle: GraphOracle, probe_radius: int) -> None:
     """Check the standing hypotheses on all vertices within the probe radius.
 
-    Detects loops, duplicate neighbors, asymmetric adjacency and isolated
-    vertices; raises OracleInconsistent if re-querying the underlying
-    neighbor function disagrees with what was cached.
+    Raises OracleInconsistent if re-querying the underlying neighbor
+    function disagrees with what was cached, and GraphSpecError listing
+    every loop, duplicate neighbor, asymmetric adjacency and isolated vertex.
     """
     if probe_radius < 0:
         raise ValueError("probe radius must be nonnegative")
-    ball = enumerate_ball(oracle, probe_radius)
-    violations: list[Violation] = []
-    for v in ball.vertices:
+    details: list[str] = []
+    for v in enumerate_ball(oracle, probe_radius).vertices:
         nbs = oracle.neighbors(v)
         recheck = tuple(oracle._raw(oracle.key_of(v)))
         if recheck != tuple(oracle.key_of(w) for w in nbs):
             raise OracleInconsistent(v, "neighbor list changed between calls")
         if len(nbs) == 0:
-            violations.append(Violation("isolated", v, f"vertex {v} has no neighbors"))
+            details.append(f"vertex {v} has no neighbors")
         seen: set[int] = set()
         for w in nbs:
             if w == v:
-                violations.append(Violation("loop", v, f"vertex {v} lists itself"))
+                details.append(f"vertex {v} lists itself")
             if w in seen:
-                violations.append(
-                    Violation("duplicate", v, f"vertex {v} lists {w} more than once")
-                )
+                details.append(f"vertex {v} lists {w} more than once")
             seen.add(w)
             if w != v and v not in oracle.neighbors(w):
-                violations.append(
-                    Violation(
-                        "asymmetry", v, f"{w} in neighbors({v}) but {v} not in neighbors({w})"
-                    )
-                )
-    return ValidationReport(
-        probe_radius=probe_radius,
-        vertices_checked=len(ball.vertices),
-        violations=tuple(violations),
-    )
+                details.append(f"{w} in neighbors({v}) but {v} not in neighbors({w})")
+    if details:
+        raise GraphSpecError("graph failed validation: " + "; ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +316,10 @@ def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) 
     adj: list[set[int]] = [set() for _ in range(vertices)]
     seen_edges: set[tuple[int, int]] = set()
     for e in edges:
-        if len(e) != 2:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise GraphSpecError(f"edge {e!r} is not a pair")
         i, j = e
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in e):
             raise GraphSpecError(f"edge {e!r} has non-integer endpoints")
         if not (0 <= i < vertices and 0 <= j < vertices):
             raise GraphSpecError(f"edge {e!r} outside 0..{vertices - 1}")

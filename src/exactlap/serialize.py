@@ -33,6 +33,18 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _decimal(digits: str) -> int:
+    """An ASCII decimal literal as an int.
+
+    CPython refuses to convert literals over its digit limit (4,300 digits
+    by default); here that is malformed input.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise SpecFormatError(f"integer literal of {len(digits)} characters is too long") from None
+
+
 def parse_fraction(text) -> Fraction:
     """Parse "p/q", "p", or an integer into an exact rational.
 
@@ -49,28 +61,36 @@ def parse_fraction(text) -> Fraction:
         raise SpecFormatError(f"not a rational literal: {text!r}")
     s = text.strip()
     if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
+        num, den = map(_decimal, s.split("/"))
+        if den == 0:
             raise SpecFormatError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+        return Fraction(num, den)
+    return Fraction(_decimal(s))
 
 
 def _load_spec_text(text: str, what: str) -> dict:
     """Interpret a CLI value as inline JSON or a JSON file path."""
-    if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SpecFormatError(f"inline {what} spec is not valid JSON: {e}") from None
+    inline = text.lstrip().startswith("{")
+    if inline:
+        source = f"inline {what} spec"
     elif os.path.exists(text):
-        try:
-            with open(text, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpecFormatError(f"{what} spec file {text!r} is not valid JSON: {e}") from None
+        source = f"{what} spec file {text!r}"
     else:
         raise SpecFormatError(f"unrecognized {what} spec {text!r}: not a shorthand, inline JSON, or existing file")
+    try:
+        if inline:
+            obj = json.loads(text)
+        else:
+            with open(text, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+    except OSError as e:
+        raise SpecFormatError(f"{source} cannot be read: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise SpecFormatError(f"{source} is not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise SpecFormatError(f"{source} is not valid JSON: {e}") from None
+    except ValueError:  # an integer over CPython's digit limit
+        raise SpecFormatError(f"{source} holds an integer literal that is too long") from None
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{what} spec must be a JSON object, got {type(obj).__name__}")
     return obj
@@ -94,14 +114,14 @@ def graph_spec_from_text(text: str) -> dict:
         if s in ("z2", "z3"):
             return {"family": "grid", "dims": int(s[1])}
         if s.startswith("tree"):
-            return {"family": "tree", "degree": int(m.group(2))}
+            return {"family": "tree", "degree": _decimal(m.group(2))}
         if s.startswith("ladder"):
-            return {"family": "ladder", "width": int(m.group(3)) if m.group(3) else 2}
+            return {"family": "ladder", "width": _decimal(m.group(3)) if m.group(3) else 2}
         if s.startswith("free"):
-            return {"family": "free_group", "rank": int(m.group(4))}
+            return {"family": "free_group", "rank": _decimal(m.group(4))}
         if s.startswith("c"):
-            return {"family": "cycle", "size": int(m.group(5))}
-        return {"family": "path", "size": int(m.group(6))}
+            return {"family": "cycle", "size": _decimal(m.group(5))}
+        return {"family": "path", "size": _decimal(m.group(6))}
     return _load_spec_text(text, "graph")
 
 
@@ -114,7 +134,18 @@ def _vertex_id(key, what: str) -> int:
     text = str(key)
     if not (text.isascii() and text.isdigit()):
         raise SpecFormatError(f"{what} key {key!r} is not a vertex id")
-    return int(text)
+    return _decimal(text)
+
+
+def _vertex_entries(entries: dict, what: str) -> dict[int, Fraction]:
+    """Rational values keyed by vertex id; two keys may not name one vertex."""
+    out: dict[int, Fraction] = {}
+    for k, v in entries.items():
+        vertex = _vertex_id(k, what)
+        if vertex in out:
+            raise SpecFormatError(f"{what} names vertex {vertex} twice")
+        out[vertex] = parse_fraction(v)
+    return out
 
 
 def target_from_json(spec: dict) -> TargetFunction:
@@ -140,24 +171,22 @@ def target_from_json(spec: dict) -> TargetFunction:
         entries = spec.get("entries")
         if not isinstance(entries, dict):
             raise SpecFormatError("sparse target requires an 'entries' object keyed by vertex id")
-        return TargetFunction.sparse(
-            {_vertex_id(k, "sparse target"): parse_fraction(v) for k, v in entries.items()}
-        )
+        return TargetFunction.sparse(_vertex_entries(entries, "sparse target"))
     raise SpecFormatError(f"unknown target kind {kind!r}")
 
 
 def target_from_text(text: str) -> TargetFunction:
     """CLI target argument: shorthand, inline JSON, or file path.
 
-    Shorthands: delta, zero, geometric, radial:c0,c1,... with rational
-    coefficients.
+    Shorthands stand for canonical JSON specs: delta, zero, geometric, and
+    radial:c0,c1,... with rational coefficients.
     """
     s = text.strip()
     if s in ("delta", "zero", "geometric"):
         return target_from_json({"kind": s})
     if s.startswith("radial:"):
-        parts = [p for p in s[len("radial:") :].split(",") if p]
-        return TargetFunction.radial([parse_fraction(p) for p in parts])
+        coeffs = [p for p in s[len("radial:") :].split(",") if p]
+        return target_from_json({"kind": "radial", "coeffs": coeffs})
     return target_from_json(_load_spec_text(text, "target"))
 
 
@@ -183,13 +212,10 @@ def lambda_from_json(spec: dict) -> LambdaField:
         entries = spec.get("entries")
         if not isinstance(entries, dict):
             raise SpecFormatError("map weight requires an 'entries' object keyed by vertex id")
-        clean = {}
-        for k, v in entries.items():
-            vertex = _vertex_id(k, "map weight")
-            value = parse_fraction(v)
+        clean = _vertex_entries(entries, "map weight")
+        for vertex, value in clean.items():
             if value < 0:
-                raise SpecFormatError(f"weight must be nonnegative, got {value} at vertex {k}")
-            clean[vertex] = value
+                raise SpecFormatError(f"weight must be nonnegative, got {value} at vertex {vertex}")
         return LambdaField.from_map(clean)
     raise SpecFormatError(f"unknown weight kind {kind!r}")
 
@@ -198,14 +224,11 @@ def lambda_from_text(text: str) -> LambdaField:
     """CLI weight argument: zero | distance | a rational constant | JSON."""
     s = text.strip()
     if s in ("zero", "0"):
-        return LambdaField.zero()
+        return lambda_from_json({"kind": "zero"})
     if s in ("distance", "dist"):
-        return LambdaField.distance()
+        return lambda_from_json({"kind": "distance"})
     if _FRACTION_RE.match(s):
-        value = parse_fraction(s)
-        if value < 0:
-            raise SpecFormatError(f"weight must be nonnegative, got {value}")
-        return LambdaField.constant(value)
+        return lambda_from_json({"kind": "constant", "value": s})
     return lambda_from_json(_load_spec_text(text, "weight"))
 
 

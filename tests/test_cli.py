@@ -361,9 +361,17 @@ def test_usage_errors_exit_64(capsys, argv):
         ["--graph", "z", "--mode", "ball", "--radius", "1", "--lambda", "\uff11"],
         ["--graph", "z", "--target", "radial:\uff11/\uff12,\u0663", "--mode", "ball", "--radius", "1"],
         ["--graph", "tree\uff13", "--mode", "ball", "--radius", "1"],
+        # spec files that cannot be read as text: a directory, bytes that are not UTF-8
+        ["--graph", "{tmp}", "--mode", "ball", "--radius", "1"],
+        ["--graph", "z", "--target", "{tmp}/latin1.json", "--mode", "ball", "--radius", "1"],
+        # an edge that is not a pair
+        ["--graph", '{"family":"custom","vertices":3,"edges":[1,2]}',
+         "--mode", "ball", "--radius", "1"],
     ],
 )
-def test_invalid_inputs_exit_3(capsys, argv):
+def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
+    (tmp_path / "latin1.json").write_bytes(b'{"kind":"\xe9"}')
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = invoke(capsys, argv)
     assert code == EXIT_INVALID
     assert out == ""
@@ -383,6 +391,53 @@ def test_vertex_id_keys_must_be_ascii_decimal(parse, kind, key):
     with pytest.raises(SpecFormatError, match="is not a vertex id"):
         parse({"kind": kind, "entries": {key: "1"}})
     assert parse({"kind": kind, "entries": {"007": "1"}}).data == {7: 1}
+
+
+@pytest.mark.parametrize(
+    "parse, kind",
+    [(target_from_json, "sparse"), (lambda_from_json, "map")],
+    ids=["target", "lambda"],
+)
+def test_vertex_keys_naming_one_vertex_twice_are_rejected(parse, kind):
+    with pytest.raises(SpecFormatError, match="names vertex 1 twice"):
+        parse({"kind": kind, "entries": {"1": "1", "01": "5"}})
+
+
+@pytest.mark.parametrize("flag, kind", [("--target", "sparse"), ("--lambda", "map")])
+def test_vertex_keys_naming_one_vertex_twice_exit_3(capsys, flag, kind):
+    spec = json.dumps({"kind": kind, "entries": {"1": "1", "01": "5"}})
+    code, out, err = invoke(capsys, ["--graph", "z", "--mode", "ball", "--radius", "1", flag, spec])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "names vertex 1 twice" in err
+
+
+HUGE = "1" * 5000
+
+
+# Without CPython's limit on integer-string conversion the tree shorthand
+# below would build a root with 10**5000 neighbors, so nothing here runs.
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts integer literals of any length",
+)
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--lambda", HUGE),
+        ("--target", "radial:1," + HUGE),
+        ("--target", '{"kind":"radial","coeffs":[' + HUGE + "]}"),
+        ("--target", '{"kind":"sparse","entries":{"' + HUGE + '":"1"}}'),
+        ("--lambda", '{"kind":"map","entries":{"' + HUGE + '":"1"}}'),
+        ("--graph", "tree" + HUGE),
+    ],
+    ids=["lambda", "radial", "json-number", "sparse-key", "map-key", "tree"],
+)
+def test_integer_literals_over_the_digit_limit_exit_3(capsys, flag, value):
+    code, out, err = invoke(capsys, ["--mode", "ball", "--radius", "1", flag, value])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "too long" in err
 
 
 @pytest.mark.parametrize("key", ["\u00b2", "-1"])

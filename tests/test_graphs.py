@@ -204,22 +204,28 @@ def test_undiscovered_vertex_rejected():
 
 
 def test_validate_clean_family_passes():
-    report = validate_oracle(line_oracle(), 3)
-    assert report.ok and report.vertices_checked == 7
-    assert validate_oracle(free_group_oracle(1), 2).ok
+    assert validate_oracle(line_oracle(), 3) is None
+    assert validate_oracle(free_group_oracle(1), 2) is None
+
+
+def test_validate_checks_exactly_the_probe_ball():
+    # the line with a loop at the integer 3, at distance 3 from the root (id 6)
+    oracle = GraphOracle(0, lambda k: (k - 1, k + 1) + ((k,) if k == 3 else ()))
+    validate_oracle(oracle, 2)
+    with pytest.raises(GraphSpecError, match=r"^graph failed validation: vertex 6 lists itself$"):
+        validate_oracle(oracle, 3)
 
 
 def test_validate_detects_loop():
     oracle = GraphOracle(0, lambda k: [0, 1] if k == 0 else [0])
-    report = validate_oracle(oracle, 1)
-    assert not report.ok
-    assert any(v.kind == "loop" and v.vertex == 0 for v in report.violations)
+    with pytest.raises(GraphSpecError, match="vertex 0 lists itself"):
+        validate_oracle(oracle, 1)
 
 
 def test_validate_detects_duplicate():
     oracle = GraphOracle(0, lambda k: [1, 1] if k == 0 else [0])
-    report = validate_oracle(oracle, 1)
-    assert any(v.kind == "duplicate" for v in report.violations)
+    with pytest.raises(GraphSpecError, match="vertex 0 lists 1 more than once"):
+        validate_oracle(oracle, 1)
 
 
 def test_validate_detects_asymmetry():
@@ -228,13 +234,13 @@ def test_validate_detects_asymmetry():
             return [1]
         return [2] if k == 1 else [1]
 
-    report = validate_oracle(GraphOracle(0, raw), 2)
-    assert any(v.kind == "asymmetry" for v in report.violations)
+    with pytest.raises(GraphSpecError, match=r"0 not in neighbors\(1\)"):
+        validate_oracle(GraphOracle(0, raw), 2)
 
 
 def test_validate_detects_isolated_root():
-    report = validate_oracle(GraphOracle(0, lambda k: []), 0)
-    assert any(v.kind == "isolated" for v in report.violations)
+    with pytest.raises(GraphSpecError, match="vertex 0 has no neighbors"):
+        validate_oracle(GraphOracle(0, lambda k: []), 0)
 
 
 def test_validate_flags_unstable_neighbor_function():
@@ -259,7 +265,7 @@ def test_custom_triangle():
     oracle = custom_oracle(3, [[0, 1], [1, 2], [2, 0]])
     ball = enumerate_ball(oracle, 1)
     assert ball.size == 3 and ball.boundary_saturated
-    assert validate_oracle(oracle, 1).ok
+    assert validate_oracle(oracle, 1) is None
 
 
 def test_custom_respects_root_choice():
@@ -278,6 +284,9 @@ def test_custom_respects_root_choice():
         (4, [[0, 1], [2, 3]]),
         (3, [[0, 1, 2]]),
         (3, [[0, "1"], [1, 2]]),
+        (3, [1, 2]),
+        (3, [[0, 1], [1, 2], 2]),
+        (3, [[0, True], [1, 2]]),
     ],
 )
 def test_custom_rejects_malformed_graphs(vertices, edges):
