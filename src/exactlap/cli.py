@@ -6,7 +6,8 @@ Exit codes separate theorem-consistent outcomes from bugs:
       graphs once a ball has swallowed the whole graph
   2   anomaly: an outcome the theory rules out on infinite graphs
       (singular truncation, broken chain nesting, failed lift or certificate)
-  3   the graph, target, or weight description failed validation
+  3   the graph, target, or weight description failed validation (the
+      target is parsed in every mode but fixtures), or --out cannot be written
   4   coherent mode could not certify stabilization within the depth budget
   64  bad flags or flag combinations (schema help goes to standard error)
 
@@ -32,7 +33,7 @@ from .errors import (
     SingularSystem,
     SpecFormatError,
 )
-from .graphs import GraphOracle, enumerate_ball, validate_oracle
+from .graphs import enumerate_ball, validate_oracle
 from .operators import LambdaField
 from .serialize import (
     describe_lambda,
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode",
         required=True,
-        choices=["ball", "certify", "chain", "coherent", "metric", "fixtures"],
+        choices=[*_REPORTS, "fixtures"],
         help="what to compute",
     )
     parser.add_argument("--radius", type=int, default=None, help="ball radius (ball/certify/metric) or level count (chain/coherent)")
@@ -124,24 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _need_radius(parser, args) -> int:
-    if args.radius is None:
-        parser.error(f"--mode {args.mode} requires --radius")
-    if args.radius < 0:
-        parser.error("--radius must be nonnegative")
-    return args.radius
+def _depth_budget(parser, args, n: int) -> int:
+    """``--max-m`` in chain and coherent mode: at least ``--radius``."""
+    max_m = args.max_m if args.max_m is not None else max(n, 8)
+    if max_m < n:
+        parser.error(f"--max-m {max_m} must be at least --radius {n}")
+    return max_m
 
 
-def _common(args, oracle: GraphOracle, lam: LambdaField) -> dict:
-    return {"graph": oracle.name, "target": args.target, "lambda": describe_lambda(lam)}
-
-
-def _ball_report(args, oracle, lam, n: int) -> tuple[dict, int]:
-    target = target_from_text(args.target)
+def _ball_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
     rep = solve_on_ball(oracle, target, n, lam)
     report = {
-        "mode": "ball",
-        **_common(args, oracle, lam),
         "radius": n,
         "status": "ok",
         "construction": rep.construction,
@@ -153,11 +147,9 @@ def _ball_report(args, oracle, lam, n: int) -> tuple[dict, int]:
     return report, EXIT_OK if rep.residual_ok else EXIT_ANOMALY
 
 
-def _certify_report(args, oracle, lam, n: int) -> tuple[dict, int]:
+def _certify_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
     cert = max_principle_certificate(oracle, n, lam)
     report = {
-        "mode": "certify",
-        **_common(args, oracle, lam),
         "radius": n,
         "strict_inclusion": cert.strict_inclusion,
         "determinant": format_fraction(cert.determinant),
@@ -167,15 +159,10 @@ def _certify_report(args, oracle, lam, n: int) -> tuple[dict, int]:
     return report, EXIT_OK if cert.passes else EXIT_ANOMALY
 
 
-def _chain_report(parser, args, oracle, lam, n: int) -> tuple[dict, int]:
-    target = target_from_text(args.target)
-    max_m = args.max_m if args.max_m is not None else max(n, 8)
-    if max_m < n:
-        parser.error(f"--max-m {max_m} must be at least --radius {n}")
+def _chain_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
+    max_m = _depth_budget(parser, args, n)
     state = run_chain(oracle, target, n, max_m, args.window, lam)
     report = {
-        "mode": "chain",
-        **_common(args, oracle, lam),
         "level": n,
         "max_m": max_m,
         "window": args.window,
@@ -191,18 +178,9 @@ def _chain_report(parser, args, oracle, lam, n: int) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _coherent_report(parser, args, oracle, lam, n: int) -> tuple[dict, int]:
-    target = target_from_text(args.target)
-    max_m = args.max_m if args.max_m is not None else max(n, 8)
-    if max_m < n:
-        parser.error(f"--max-m {max_m} must be at least --radius {n}")
-    base = {
-        "mode": "coherent",
-        **_common(args, oracle, lam),
-        "levels": n,
-        "max_m": max_m,
-        "window": args.window,
-    }
+def _coherent_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
+    max_m = _depth_budget(parser, args, n)
+    base = {"levels": n, "max_m": max_m, "window": args.window}
     try:
         result = coherent_solution(oracle, target, n, max_m, args.window, lam)
     except NotStabilized as e:
@@ -225,8 +203,7 @@ def _coherent_report(parser, args, oracle, lam, n: int) -> tuple[dict, int]:
     return report, EXIT_OK if rep.residual_ok else EXIT_ANOMALY
 
 
-def _metric_report(args, oracle, lam, r1: int) -> tuple[dict, int]:
-    target = target_from_text(args.target)
+def _metric_report(parser, args, oracle, target, lam, r1: int) -> tuple[dict, int]:
     r2 = args.max_m if args.max_m is not None else r1
     if r2 < 0:
         raise SpecFormatError("--max-m must be nonnegative in metric mode")
@@ -235,8 +212,6 @@ def _metric_report(args, oracle, lam, r1: int) -> tuple[dict, int]:
     h = solve_on_ball(oracle, target, r2, lam).solution
     lower, upper = prodiscrete_distance(f, h, depth)
     report = {
-        "mode": "metric",
-        **_common(args, oracle, lam),
         "radius_a": r1,
         "radius_b": r2,
         "depth": depth,
@@ -244,6 +219,19 @@ def _metric_report(args, oracle, lam, r1: int) -> tuple[dict, int]:
         "status": "ok",
     }
     return report, EXIT_OK
+
+
+# Report builders by mode, in the order --mode lists them.  Each returns its
+# own fields and exit code, and run_cli puts the common prefix in front.  The
+# dict holds builders, not solver functions: builders look the solvers up as
+# module globals at call time, so a patched or traced solver is the one called.
+_REPORTS = {
+    "ball": _ball_report,
+    "certify": _certify_report,
+    "chain": _chain_report,
+    "coherent": _coherent_report,
+    "metric": _metric_report,
+}
 
 
 def _random_sparse_target(rng: random.Random, ball_size: int) -> dict:
@@ -339,10 +327,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 0
-    try:
         if args.mode == "fixtures":
             report, code = _fixtures_report(parser, args)
         else:
@@ -352,17 +336,18 @@ def run_cli(argv: list[str] | None = None) -> int:
             lam = lambda_from_text(args.lam)
             if args.window < 1:
                 parser.error("--window must be at least 1")
-            n = _need_radius(parser, args)
-            if args.mode == "ball":
-                report, code = _ball_report(args, oracle, lam, n)
-            elif args.mode == "certify":
-                report, code = _certify_report(args, oracle, lam, n)
-            elif args.mode == "chain":
-                report, code = _chain_report(parser, args, oracle, lam, n)
-            elif args.mode == "coherent":
-                report, code = _coherent_report(parser, args, oracle, lam, n)
-            else:
-                report, code = _metric_report(args, oracle, lam, n)
+            if args.radius is None:
+                parser.error(f"--mode {args.mode} requires --radius")
+            if args.radius < 0:
+                parser.error("--radius must be nonnegative")
+            target = target_from_text(args.target)
+            fields, code = _REPORTS[args.mode](parser, args, oracle, target, lam, args.radius)
+            report = {"mode": args.mode, "graph": oracle.name, "target": args.target,
+                      "lambda": describe_lambda(lam), **fields}
+        text = dump_report(report)
+        if args.out is not None and args.mode != "fixtures":
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else EXIT_USAGE
@@ -399,11 +384,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     except ExactLapError as e:
         print(f"anomaly: {e}", file=sys.stderr)
         return EXIT_ANOMALY
-    text = dump_report(report)
+    except OSError as e:  # spec reads map their own OSError, so this is a report write
+        print(f"invalid input: --out {args.out!r} cannot be written: {e.strerror}", file=sys.stderr)
+        return EXIT_INVALID
     sys.stdout.write(text)
-    if args.out is not None and args.mode != "fixtures":
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
     return code
 
 

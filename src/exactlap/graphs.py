@@ -331,22 +331,14 @@ def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) 
         seen_edges.add(canon)
         adj[i].add(j)
         adj[j].add(i)
+    lists = [tuple(sorted(s)) for s in adj]
+    oracle = GraphOracle(root, lambda i: lists[i], name="custom")
     # connectivity from the root; also rules out isolated vertices
-    reached = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    reached = {oracle.key_of(v) for v in enumerate_ball(oracle, vertices).vertices}
     if len(reached) != vertices:
         missing = sorted(set(range(vertices)) - reached)
         raise GraphSpecError(f"graph is not connected; unreachable vertices {missing}")
-    lists = [tuple(sorted(s)) for s in adj]
-    return GraphOracle(root, lambda i: lists[i], name="custom")
+    return oracle
 
 
 def family_oracle(spec: dict) -> GraphOracle:

@@ -130,9 +130,8 @@ def solve_on_ball(
 
 def max_principle_certificate(oracle: GraphOracle, n: int, lam: LambdaField) -> Certificate:
     """Exact determinant of the square truncation plus the geometric hypothesis."""
-    inner = enumerate_ball(oracle, n)
-    outer = enumerate_ball(oracle, n + 1)
-    strict = outer.size > inner.size
+    # B_n is strictly inside B_{n+1} exactly when some vertex lies at distance n+1
+    strict = not enumerate_ball(oracle, n).boundary_saturated
     det = determinant(truncated_operator_matrix(oracle, n, lam))
     return Certificate(
         radius=n,

@@ -367,6 +367,14 @@ def test_usage_errors_exit_64(capsys, argv):
         # an edge that is not a pair
         ["--graph", '{"family":"custom","vertices":3,"edges":[1,2]}',
          "--mode", "ball", "--radius", "1"],
+        # certify mode parses its target too
+        ["--mode", "certify", "--graph", "z", "--radius", "1", "--target", "garbage"],
+        ["--mode", "certify", "--graph", "z", "--radius", "1",
+         "--target", '{"kind":"sparse","entries":{"x":"1"}}'],
+        # an --out that cannot be written: a directory, a missing parent, a file as fixture directory
+        ["--graph", "z", "--mode", "ball", "--radius", "1", "--out", "{tmp}"],
+        ["--graph", "z", "--mode", "ball", "--radius", "1", "--out", "{tmp}/missing/dir/r.json"],
+        ["--mode", "fixtures", "--out", "{tmp}/latin1.json"],
     ],
 )
 def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
@@ -376,6 +384,19 @@ def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
     assert code == EXIT_INVALID
     assert out == ""
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize(
+    "mode, out",
+    [("ball", "."), ("ball", "missing/dir/r.json"), ("fixtures", "file.json")],
+)
+def test_unwritable_out_names_the_path(capsys, tmp_path, mode, out):
+    (tmp_path / "file.json").write_text("{}")
+    path = str(tmp_path / out)
+    code, stdout, err = invoke(capsys, ["--mode", mode, "--radius", "1", "--out", path])
+    assert code == EXIT_INVALID
+    assert stdout == ""
+    assert err.startswith(f"invalid input: --out {path!r} cannot be written: ")
 
 
 BAD_VERTEX_KEYS = ["\u00b2", "\u0663", "\uff11", "-1", "+1", " 1", "1.0", ""]

@@ -294,6 +294,16 @@ def test_custom_rejects_malformed_graphs(vertices, edges):
         custom_oracle(vertices, edges)
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, root, missing",
+    [(4, [[0, 1], [2, 3]], 0, [2, 3]), (5, [[0, 1], [2, 3], [3, 4]], 3, [0, 1])],
+)
+def test_custom_names_the_unreachable_vertices(vertices, edges, root, missing):
+    with pytest.raises(GraphSpecError) as exc:
+        custom_oracle(vertices, edges, root=root)
+    assert str(exc.value) == f"graph is not connected; unreachable vertices {missing}"
+
+
 # --- family dispatch -------------------------------------------------------
 
 

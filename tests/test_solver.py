@@ -16,8 +16,10 @@ from exactlap.errors import (
     SingularSystem,
 )
 from exactlap.graphs import (
+    custom_oracle,
     cycle_oracle,
     enumerate_ball,
+    free_group_oracle,
     grid_oracle,
     ladder_oracle,
     line_oracle,
@@ -221,6 +223,26 @@ def test_certificate_on_saturated_cycle_passes_vacuously():
 def test_certificate_on_tree():
     cert = max_principle_certificate(tree_oracle(3), 1, LAM0)
     assert cert.strict_inclusion and cert.passes and cert.determinant != 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        line_oracle,
+        lambda: grid_oracle(2),
+        lambda: tree_oracle(3),
+        lambda: free_group_oracle(2),
+        lambda: cycle_oracle(5),
+        lambda: path_oracle(4),
+        lambda: custom_oracle(6, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [1, 5]], root=2),
+    ],
+    ids=["z", "z2", "tree3", "free2", "c5", "p4", "custom"],
+)
+def test_strict_inclusion_means_the_next_ball_is_larger(make):
+    for n in range(5):
+        oracle = make()
+        larger = enumerate_ball(oracle, n + 1).size > enumerate_ball(oracle, n).size
+        assert max_principle_certificate(make(), n, LAM0).strict_inclusion == larger, n
 
 
 # --- affine solution sets ---------------------------------------------------
