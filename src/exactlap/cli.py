@@ -13,6 +13,9 @@ Exit codes separate theorem-consistent outcomes from bugs:
 
 Standard output carries exactly one JSON report; logs and error text go to
 standard error.  Identical flags (and seed) produce byte-identical output.
+Every report, the "singular" and "no_universal_element" ones included, goes
+through one tail: --out is written first, then standard output, so an --out
+that cannot be written leaves standard output empty.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     SingularSystem,
     SpecFormatError,
 )
-from .graphs import enumerate_ball, validate_oracle
+from .graphs import enumerate_ball, family_oracle, validate_oracle
 from .operators import LambdaField
 from .serialize import (
     describe_lambda,
@@ -258,7 +261,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
     written = []
     for shorthand in families:
         spec = graph_spec_from_text(shorthand)
-        oracle = graph_from_text(shorthand)
+        oracle = family_oracle(spec)
         rng = random.Random(f"{seed}:{shorthand}")
         ball = enumerate_ball(oracle, max_radius)
         target_spec = _random_sparse_target(rng, ball.size)
@@ -325,6 +328,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
+    degenerate = None  # a singular ball or empty stabilized image, reported like any outcome
     try:
         args = parser.parse_args(argv)
         if args.mode == "fixtures":
@@ -341,9 +345,25 @@ def run_cli(argv: list[str] | None = None) -> int:
             if args.radius < 0:
                 parser.error("--radius must be nonnegative")
             target = target_from_text(args.target)
-            fields, code = _REPORTS[args.mode](parser, args, oracle, target, lam, args.radius)
-            report = {"mode": args.mode, "graph": oracle.name, "target": args.target,
-                      "lambda": describe_lambda(lam), **fields}
+            try:
+                fields, code = _REPORTS[args.mode](parser, args, oracle, target, lam, args.radius)
+                report = {"mode": args.mode, "graph": oracle.name, "target": args.target,
+                          "lambda": describe_lambda(lam), **fields}
+            except SingularSystem as e:
+                degenerate, report = e, {
+                    "mode": args.mode,
+                    "radius": e.radius,
+                    "status": "singular",
+                    "singular_expected_finite": bool(e.boundary_saturated),
+                    "boundary_saturated": bool(e.boundary_saturated),
+                }
+            except EmptyUniversalSet as e:
+                degenerate, report = e, {
+                    "mode": args.mode,
+                    "level": e.level,
+                    "status": "no_universal_element",
+                    "unsolvable_expected_finite": bool(e.boundary_saturated),
+                }
         text = dump_report(report)
         if args.out is not None and args.mode != "fixtures":
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -351,33 +371,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else EXIT_USAGE
-    except SingularSystem as e:
-        expected = bool(e.boundary_saturated)
-        report = {
-            "mode": args.mode,
-            "radius": e.radius,
-            "status": "singular",
-            "singular_expected_finite": expected,
-            "boundary_saturated": expected,
-        }
-        sys.stdout.write(dump_report(report))
-        if not expected:
-            print(f"anomaly: {e}", file=sys.stderr)
-            return EXIT_ANOMALY
-        return EXIT_OK
-    except EmptyUniversalSet as e:
-        expected = bool(e.boundary_saturated)
-        report = {
-            "mode": args.mode,
-            "level": e.level,
-            "status": "no_universal_element",
-            "unsolvable_expected_finite": expected,
-        }
-        sys.stdout.write(dump_report(report))
-        if not expected:
-            print(f"anomaly: {e}", file=sys.stderr)
-            return EXIT_ANOMALY
-        return EXIT_OK
     except (SpecFormatError, GraphSpecError, BadFamilyParameter, OracleInconsistent) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -388,7 +381,13 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"invalid input: --out {args.out!r} cannot be written: {e.strerror}", file=sys.stderr)
         return EXIT_INVALID
     sys.stdout.write(text)
-    return code
+    if degenerate is None:
+        return code
+    # expected once a ball has swallowed a finite graph, an anomaly otherwise
+    if degenerate.boundary_saturated:
+        return EXIT_OK
+    print(f"anomaly: {degenerate}", file=sys.stderr)
+    return EXIT_ANOMALY
 
 
 def main() -> int:

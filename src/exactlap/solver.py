@@ -258,17 +258,36 @@ def run_chain(
     )
 
 
-def _raise_if_empty(chain: ChainState, img: AffineSubspace) -> None:
-    if not img.is_empty:
-        return
-    deepest = chain.images[-1][0]
-    saturated = enumerate_ball(chain.ball.oracle, deepest).boundary_saturated
-    raise EmptyUniversalSet(
-        f"stabilized image at level {chain.level} is empty; no function solves the "
-        f"target through depth {deepest}",
-        level=chain.level,
-        boundary_saturated=saturated,
-    )
+def _lift(chain: ChainState, prefix: tuple[Fraction, ...]) -> BallFunction:
+    """The member of the chain's stabilized image that extends ``prefix``.
+
+    The image's point vanishes on the basis pivot columns and its basis is
+    reduced-echelon there, so the point plus prefix[c] times basis vector c,
+    over the pivot columns c inside the prefix, is the only member that can
+    extend the prefix (a basis vector pivoted outside it vanishes on all of
+    it).  The empty prefix therefore gives the canonical point.  Raises
+    EmptyUniversalSet on an empty image and LiftFailed, rather than a
+    guess, when that member does not extend the prefix.
+    """
+    img = chain.stabilized_image  # raises NotStabilized when appropriate
+    if img.is_empty:
+        deepest = chain.images[-1][0]
+        raise EmptyUniversalSet(
+            f"stabilized image at level {chain.level} is empty; no function solves the "
+            f"target through depth {deepest}",
+            level=chain.level,
+            boundary_saturated=enumerate_ball(chain.ball.oracle, deepest).boundary_saturated,
+        )
+    y = list(img.particular)
+    for row, c in zip(img.basis, img.pivot_cols):
+        if c < len(prefix) and prefix[c]:
+            y = [a + prefix[c] * b for a, b in zip(y, row)]
+    lifted = BallFunction(chain.ball, tuple(y))
+    if lifted.values[: len(prefix)] != prefix:
+        raise LiftFailed(
+            f"no element of the stabilized image at level {chain.level} extends level {chain.level - 1}"
+        )
+    return lifted
 
 
 def universal_element(chain: ChainState) -> BallFunction:
@@ -278,9 +297,7 @@ def universal_element(chain: ChainState) -> BallFunction:
     extend to solutions at every recorded deeper level; its canonical
     particular point makes the choice deterministic.
     """
-    img = chain.stabilized_image  # raises NotStabilized when appropriate
-    _raise_if_empty(chain, img)
-    return BallFunction(chain.ball, img.particular)
+    return _lift(chain, ())
 
 
 @dataclass(frozen=True)
@@ -301,35 +318,17 @@ def coherent_solution(
 ) -> CoherentResult:
     """Build x_0, ..., x_N with x_{n+1} extending x_n and exact residuals.
 
-    x_0 is the universal element at level 0.  Each later x_{n+1} is read
-    off the canonical stabilized image at level n+1: its point vanishes on
-    the basis pivot columns and its basis is reduced-echelon there, so the
-    point plus x_n[c] times basis vector c, over the pivot columns c inside
-    B_{n+1}, is the only member that can extend x_n (a basis vector
-    pivoted outside B_{n+1} vanishes on all of B_{n+1}).  It does whenever
-    the stabilized images are the true eventual images; otherwise
-    LiftFailed is raised rather than a guess.
+    x_0 is the universal element at level 0, and each later x_{n+1} is the
+    member of the stabilized image at level n+1 that extends x_n.  One
+    exists whenever the stabilized images are the true eventual images;
+    otherwise LiftFailed is raised rather than a guess.
     """
     if big_n < 0:
         raise BadRadii("level count must be nonnegative")
     chains = [run_chain(oracle, target, n, max_m, window, lam) for n in range(big_n + 1)]
-    levels = [universal_element(chains[0])]
-    for n in range(big_n):
-        nxt = chains[n + 1]
-        img = nxt.stabilized_image
-        _raise_if_empty(nxt, img)
-        x_prev = levels[-1].values
-        prefix = len(x_prev)
-        y = list(img.particular)
-        for row, c in zip(img.basis, img.pivot_cols):
-            if c < prefix and x_prev[c]:
-                y = [a + x_prev[c] * b for a, b in zip(y, row)]
-        lifted = BallFunction(nxt.ball, tuple(y))
-        if lifted.values[:prefix] != x_prev:
-            raise LiftFailed(
-                f"no element of the stabilized image at level {n + 1} extends level {n}"
-            )
-        levels.append(lifted)
+    levels: list[BallFunction] = []
+    for chain in chains:
+        levels.append(_lift(chain, levels[-1].values if levels else ()))
     top = levels[-1]
     inner = enumerate_ball(oracle, big_n)
     applied = apply_laplacian(oracle, top, lam)

@@ -154,17 +154,21 @@ def test_saturated_finite_graph_reports_expected_singular(capsys):
     assert report["singular_expected_finite"] is True
 
 
-def test_unexpected_singular_is_an_anomaly(capsys, monkeypatch):
+def test_unexpected_singular_is_an_anomaly(capsys, monkeypatch, tmp_path):
     def explode(*args, **kwargs):
         raise SingularSystem("forced", radius=1, boundary_saturated=False)
 
     monkeypatch.setattr(cli_module, "solve_on_ball", explode)
+    out_file = tmp_path / "report.json"
     code, out, err = invoke(
-        capsys, ["--graph", "z", "--target", "delta", "--mode", "ball", "--radius", "1"]
+        capsys,
+        ["--graph", "z", "--target", "delta", "--mode", "ball", "--radius", "1", "--out", str(out_file)],
     )
     assert code == EXIT_ANOMALY
     assert json.loads(out)["singular_expected_finite"] is False
     assert "anomaly" in err
+    assert err == "anomaly: forced\n"
+    assert out_file.read_text(encoding="utf-8") == out
 
 
 # --- certify mode -----------------------------------------------------------
@@ -375,6 +379,8 @@ def test_usage_errors_exit_64(capsys, argv):
         ["--graph", "z", "--mode", "ball", "--radius", "1", "--out", "{tmp}"],
         ["--graph", "z", "--mode", "ball", "--radius", "1", "--out", "{tmp}/missing/dir/r.json"],
         ["--mode", "fixtures", "--out", "{tmp}/latin1.json"],
+        # a degenerate report takes the same --out path
+        ["--graph", "c4", "--mode", "ball", "--radius", "3", "--out", "{tmp}"],
     ],
 )
 def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
@@ -498,10 +504,19 @@ def test_identical_flags_give_byte_identical_output(capsys):
     assert first == second
 
 
-def test_out_file_matches_stdout(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--graph", "z", "--mode", "ball", "--radius", "1"],
+        # degenerate outcomes on finite graphs are reports like any other
+        ["--graph", "c5", "--mode", "ball", "--radius", "2"],
+        ["--graph", "c4", "--mode", "coherent", "--radius", "1", "--max-m", "6"],
+        ["--graph", "c5", "--mode", "metric", "--radius", "2", "--max-m", "3"],
+    ],
+)
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
     out_file = tmp_path / "report.json"
-    argv = ["--graph", "z", "--mode", "ball", "--radius", "1", "--out", str(out_file)]
-    code, out, _ = invoke(capsys, argv)
+    code, out, _ = invoke(capsys, argv + ["--out", str(out_file)])
     assert code == EXIT_OK
     assert out_file.read_text(encoding="utf-8") == out
 

@@ -310,6 +310,12 @@ def test_chain_dims_never_increase():
             assert dims == sorted(dims, reverse=True)
 
 
+# the delta target on the 4-cycle: the images are empty from depth 2 on
+EMPTY_AT_LEVEL_0 = (
+    "stabilized image at level 0 is empty; no function solves the target through depth 4"
+)
+
+
 def test_chain_on_saturating_cycle_reaches_empty_images():
     state = run_chain(cycle_oracle(4), DELTA, 0, 5, 3, LAM0)
     assert state.status == "stabilized"
@@ -318,6 +324,8 @@ def test_chain_on_saturating_cycle_reaches_empty_images():
     with pytest.raises(EmptyUniversalSet) as exc:
         universal_element(state)
     assert exc.value.boundary_saturated is True
+    assert exc.value.level == 0
+    assert str(exc.value) == EMPTY_AT_LEVEL_0
 
 
 def test_chain_short_budget_is_window_exceeded_not_a_guess():
@@ -415,8 +423,11 @@ def test_coherent_without_stabilization_raises():
 
 
 def test_coherent_on_unsolvable_finite_graph_raises():
-    with pytest.raises(EmptyUniversalSet):
+    with pytest.raises(EmptyUniversalSet) as exc:
         coherent_solution(cycle_oracle(4), DELTA, 1, 6, 3, LAM0)
+    assert exc.value.boundary_saturated is True
+    assert exc.value.level == 0
+    assert str(exc.value) == EMPTY_AT_LEVEL_0
 
 
 def test_coherent_negative_levels_rejected():
