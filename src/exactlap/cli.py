@@ -7,7 +7,8 @@ Exit codes separate theorem-consistent outcomes from bugs:
   2   anomaly: an outcome the theory rules out on infinite graphs
       (singular truncation, broken chain nesting, failed lift or certificate)
   3   the graph, target, or weight description failed validation (the
-      target is parsed in every mode but fixtures), or --out cannot be written
+      target is parsed in every mode but fixtures), --out cannot be written,
+      or two fixtures --graph entries would write the same file name
   4   coherent mode could not certify stabilization within the depth budget
   64  bad flags or flag combinations (schema help goes to standard error)
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -237,8 +237,8 @@ _REPORTS = {
 }
 
 
-def _random_sparse_target(rng: random.Random, ball_size: int) -> dict:
-    """Seeded sparse rational target spec over ids of an enumerated ball."""
+def _random_sparse_target(rng, ball_size: int) -> dict:
+    """Sparse rational target spec over ids of an enumerated ball, drawn from ``rng``."""
     count = min(3, ball_size)
     ids = sorted(rng.sample(range(ball_size), count))
     entries = {}
@@ -252,14 +252,23 @@ def _random_sparse_target(rng: random.Random, ball_size: int) -> dict:
 def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str) -> list[str]:
     """Write per-family regression baselines with seeded sparse targets.
 
-    Outputs are byte-identical for identical arguments.  Solved values are
-    whatever this build computes, recorded for change detection, not as
-    independently verified ground truth; residual checks are the part that
-    is unconditionally trustworthy.
+    Each entry's file is named after the entry's last path component plus
+    ``.json``, inside ``out_dir`` whatever the entry; two entries that give
+    the same name are refused before anything is written.  Outputs are
+    byte-identical for identical arguments.  Solved values are whatever this
+    build computes, recorded for change detection, not as independently
+    verified ground truth; residual checks are the part that is
+    unconditionally trustworthy.
     """
+    import random  # imported here to keep CLI start-up lean
+
+    names = [f"{os.path.basename(shorthand)}.json" for shorthand in families]
+    clash = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if clash is not None:
+        raise SpecFormatError(f"two --graph entries would both write fixture {clash!r}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for shorthand in families:
+    for shorthand, name in zip(families, names):
         spec = graph_spec_from_text(shorthand)
         oracle = family_oracle(spec)
         rng = random.Random(f"{seed}:{shorthand}")
@@ -297,7 +306,6 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
             "target": target_spec,
             "results": results,
         }
-        name = f"{shorthand}.json"
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(dump_report(fixture))

@@ -38,8 +38,8 @@ pivots and `_read_off` the only one that back-reduces.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 

@@ -20,17 +20,15 @@ that the chain machinery in the solver tracks across radii.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from .errors import BadRadii, DimensionMismatch, InsufficientDomain
-from .graphs import Ball, GraphOracle, enumerate_ball
+from .graphs import Ball, GraphOracle, Record, enumerate_ball
 from .linalg import RationalMatrix, Vector
 
 
-@dataclass(frozen=True)
-class BallFunction:
+class BallFunction(Record):
     """A rational-valued function on a ball, stored in canonical vertex order."""
 
     ball: Ball

@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import SpecFormatError
 from .graphs import GraphOracle, family_oracle

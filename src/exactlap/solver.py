@@ -26,7 +26,6 @@ ball and coherent solutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
     NotStabilized,
     SingularSystem,
 )
-from .graphs import Ball, GraphOracle, enumerate_ball
+from .graphs import Ball, GraphOracle, Record, enumerate_ball
 from .linalg import (
     AffineSubspace,
     affine_subset,
@@ -61,8 +60,7 @@ BALL_CONSTRUCTION = "ball"
 COHERENT_CONSTRUCTION = "ml"
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """A verified preimage on a ball.
 
     ``metric_bound`` is the prodiscrete distance from the reported solution
@@ -78,8 +76,7 @@ class SolveReport:
     metric_bound: Fraction
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Invertibility certificate for the square truncation at one radius.
 
     ``strict_inclusion`` is the geometric hypothesis (the ball of radius
@@ -157,8 +154,7 @@ def _dim_rank(s: AffineSubspace) -> int:
     return -1 if s.is_empty else len(s.basis)
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(Record):
     """Images of the solution sets at one level, across increasing depths.
 
     ``images[i]`` is the pair (m, image on B_{level+1} of the solution set
@@ -300,8 +296,7 @@ def universal_element(chain: ChainState) -> BallFunction:
     return _lift(chain, ())
 
 
-@dataclass(frozen=True)
-class CoherentResult:
+class CoherentResult(Record):
     """A compatible family of ball solutions plus the verified top-level report."""
 
     levels: tuple[BallFunction, ...]

@@ -1,6 +1,5 @@
 """Command-line interface: reports, exit codes, determinism, wire formats."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -30,7 +29,7 @@ from exactlap.serialize import (
     parse_fraction,
     target_from_json,
 )
-from exactlap.solver import Certificate, solve_on_ball
+from exactlap.solver import Certificate, ChainState, solve_on_ball
 
 import exactlap.cli as cli_module
 import exactlap.solver as solver_module
@@ -238,7 +237,14 @@ def test_coherent_lift_failure_is_an_anomaly(capsys, monkeypatch):
             return state
         m, img = state.images[-1]
         point = AffineSubspace.from_point((img.particular[0] + 1,) + img.particular[1:])
-        return dataclasses.replace(state, images=state.images[:-1] + ((m, point),))
+        return ChainState(
+            level=state.level,
+            max_m=state.max_m,
+            window=state.window,
+            ball=state.ball,
+            images=state.images[:-1] + ((m, point),),
+            stabilized_at=state.stabilized_at,
+        )
 
     monkeypatch.setattr(solver_module, "run_chain", shifted)
     code, out, err = invoke(capsys, ["--mode", "coherent", "--graph", "z", "--radius", "1"])
@@ -555,6 +561,37 @@ def test_fixture_family_subset_and_seed_sensitivity(tmp_path, capsys):
     a = (tmp_path / "s1" / "z.json").read_text()
     b = (tmp_path / "s2" / "z.json").read_text()
     assert json.loads(a)["target"] != json.loads(b)["target"]
+
+
+def test_fixture_spec_paths_write_inside_out(tmp_path, capsys, monkeypatch):
+    """A --graph entry that is a spec file path names its fixture after the
+    file's base name, inside --out, whether the path is absolute or relative."""
+    spec = tmp_path / "specs" / "custom.json"
+    spec.parent.mkdir()
+    spec.write_text('{"family": "path", "size": 4}')
+    out_dir = tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
+    for entry in (str(spec), "specs/custom.json"):
+        code, out, err = invoke(capsys, ["--mode", "fixtures", "--out", str(out_dir),
+                                         "--radius", "1", "--graph", f"z,{entry}"])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["files"] == ["z.json", "custom.json.json"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["custom.json.json", "z.json"]
+        assert json.loads((out_dir / "custom.json.json").read_text())["graph"]["family"] == "path"
+    assert sorted(p.name for p in spec.parent.iterdir()) == ["custom.json"]
+
+
+def test_fixture_name_clash_exits_3_before_writing(tmp_path, capsys):
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "g.json").write_text('{"family": "line"}')
+    out_dir = tmp_path / "out"
+    entries = f"z,{tmp_path / 'a' / 'g.json'},{tmp_path / 'b' / 'g.json'}"
+    code, out, err = invoke(capsys, ["--mode", "fixtures", "--out", str(out_dir), "--graph", entries])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("invalid input:") and "'g.json.json'" in err
+    assert not out_dir.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -1,14 +1,17 @@
-"""Graph oracles: ball enumeration against closed forms and independent BFS."""
+"""Graph oracles: ball enumeration against closed forms and independent BFS,
+and the read-only Record base of the package's value types."""
 
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactlap.errors import BadFamilyParameter, GraphSpecError, OracleInconsistent
+from exactlap.errors import BadFamilyParameter, DimensionMismatch, GraphSpecError, OracleInconsistent
 from exactlap.graphs import (
     GraphOracle,
+    Record,
     custom_oracle,
     cycle_oracle,
     enumerate_ball,
@@ -21,6 +24,7 @@ from exactlap.graphs import (
     tree_oracle,
     validate_oracle,
 )
+from exactlap.operators import BallFunction
 
 # --- independent oracles ---------------------------------------------------
 
@@ -353,6 +357,75 @@ def test_family_oracle_rejects_bad_specs(spec):
 def test_family_parameter_ranges(factory):
     with pytest.raises(BadFamilyParameter):
         factory()
+
+
+# --- Record: the read-only value type behind Ball and the solver reports ----
+
+
+class Pair(Record):
+    """Two annotated fields, in order."""
+
+    left: int
+    right: str
+
+
+def test_record_constructs_by_position_or_keyword():
+    assert Pair._fields == ("left", "right")
+    by_position, by_keyword = Pair(1, "a"), Pair(right="a", left=1)
+    assert (by_position.left, by_position.right) == (1, "a")
+    assert by_position == by_keyword == Pair(1, right="a")
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((1,), {}, "missing field 'right'"),
+        ((1, "a"), {"middle": 0}, "unknown field 'middle'"),
+        ((1, "a"), {"left": 2}, "repeated field 'left'"),
+        ((1, "a", 2), {}, "takes 2 fields, 3 given"),
+    ],
+    ids=["missing", "unknown", "repeated", "too-many"],
+)
+def test_record_rejects_bad_fields(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Pair(*args, **kwargs)
+
+
+def test_record_equality_hash_and_repr():
+    a, b = Pair(1, "a"), Pair(1, "a")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Pair(2, "a") and a != Pair(1, "b")
+    assert a.__eq__((1, "a")) is NotImplemented
+    assert a != (1, "a")
+    assert repr(a) == "Pair(left=1, right='a')"
+    ball = enumerate_ball(line_oracle(), 1)
+    assert repr(ball) == (
+        "Ball(oracle=GraphOracle('line', discovered=5), radius=1, vertices=(0, 1, 2), "
+        "distances=(0, 1, 1), boundary_saturated=False)"
+    )
+    assert ball == enumerate_ball(ball.oracle, 1) != enumerate_ball(line_oracle(), 1)
+
+
+def test_record_is_read_only():
+    a = Pair(1, "a")
+    with pytest.raises(AttributeError):
+        a.left = 2
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    with pytest.raises(AttributeError):
+        del a.right
+    assert (a.left, a.right) == (1, "a")
+    with pytest.raises(AttributeError):
+        enumerate_ball(line_oracle(), 0).radius = 1
+
+
+def test_ball_function_keeps_its_length_check():
+    ball = enumerate_ball(line_oracle(), 1)
+    assert BallFunction(ball, (Fraction(1),) * 3).values == (1, 1, 1)
+    with pytest.raises(DimensionMismatch, match="2 values for a ball of 3 vertices"):
+        BallFunction(ball, (Fraction(1),) * 2)
+    with pytest.raises(DimensionMismatch):
+        BallFunction(ball=ball, values=())
 
 
 # --- property: arbitrary finite trees --------------------------------------

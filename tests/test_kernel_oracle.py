@@ -12,7 +12,6 @@ lift.  Structural checks, with no oracle, assert the canonical form of
 every image itself and the order in which the kernel takes its pivots.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -49,7 +48,7 @@ from exactlap.operators import (
     restriction_matrix,
     truncated_operator_matrix,
 )
-from exactlap.solver import coherent_solution
+from exactlap.solver import ChainState, coherent_solution
 
 import exactlap.solver as solver_module
 
@@ -378,7 +377,14 @@ def _widened(run_chain):
         k = img.ambient_dim
         extra = [[Fraction(int(j == 0)) for j in range(k)], _target(random.Random(0), k)]
         wide = AffineSubspace(k, img.particular, list(img.basis) + extra)
-        return dataclasses.replace(state, images=state.images[:-1] + ((m, wide),))
+        return ChainState(
+            level=state.level,
+            max_m=state.max_m,
+            window=state.window,
+            ball=state.ball,
+            images=state.images[:-1] + ((m, wide),),
+            stabilized_at=state.stabilized_at,
+        )
 
     return run
 
