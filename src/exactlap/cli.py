@@ -10,7 +10,13 @@ Exit codes separate theorem-consistent outcomes from bugs:
       target is parsed in every mode but fixtures), --out cannot be written,
       or two fixtures --graph entries would write the same file name
   4   coherent mode could not certify stabilization within the depth budget
-  64  bad flags or flag combinations (schema help goes to standard error)
+  64  bad flags or flag combinations (schema help goes to standard error),
+      including an integer flag that is not ASCII decimal
+
+Flags come from one table and are read with argparse's grammar, without
+importing argparse: long flags only, ``--flag value`` or ``--flag=value``, a
+unique prefix for any flag, the last of repeated flags wins.  The usage and
+help texts are fixed strings, as argparse printed them at 80 columns.
 
 Standard output carries exactly one JSON report; logs and error text go to
 standard error.  Identical flags (and seed) produce byte-identical output.
@@ -21,10 +27,10 @@ that cannot be written leaves standard output empty.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import (
     BadFamilyParameter,
@@ -94,49 +100,15 @@ modes
 """
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit 64 with schema help."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        print(SCHEMA_HELP, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="exactlap",
-        description="Exact rational preimages of the combinatorial Laplacian on balls.",
-        epilog=SCHEMA_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--graph", default=None, help="graph family shorthand, inline JSON, or JSON file (default: z)")
-    parser.add_argument("--target", default="delta", help="target function shorthand, inline JSON, or JSON file")
-    parser.add_argument(
-        "--mode",
-        required=True,
-        choices=[*_REPORTS, "fixtures"],
-        help="what to compute",
-    )
-    parser.add_argument("--radius", type=int, default=None, help="ball radius (ball/certify/metric) or level count (chain/coherent)")
-    parser.add_argument("--max-m", type=int, default=None, dest="max_m", help="depth budget for chains; second radius in metric mode")
-    parser.add_argument("--window", type=int, default=3, help="consecutive equal images required to declare stabilization")
-    parser.add_argument("--lambda", default="zero", dest="lam", help="diagonal weight: zero, distance, a rational, or JSON")
-    parser.add_argument("--out", default=None, help="also write the report to this file (fixtures: output directory)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for fixture target generation")
-    return parser
-
-
-def _depth_budget(parser, args, n: int) -> int:
+def _depth_budget(args, n: int) -> int:
     """``--max-m`` in chain and coherent mode: at least ``--radius``."""
     max_m = args.max_m if args.max_m is not None else max(n, 8)
     if max_m < n:
-        parser.error(f"--max-m {max_m} must be at least --radius {n}")
+        _usage_error(f"--max-m {max_m} must be at least --radius {n}")
     return max_m
 
 
-def _ball_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
+def _ball_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
     rep = solve_on_ball(oracle, target, n, lam)
     report = {
         "radius": n,
@@ -150,7 +122,7 @@ def _ball_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
     return report, EXIT_OK if rep.residual_ok else EXIT_ANOMALY
 
 
-def _certify_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
+def _certify_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
     cert = max_principle_certificate(oracle, n, lam)
     report = {
         "radius": n,
@@ -162,8 +134,8 @@ def _certify_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, in
     return report, EXIT_OK if cert.passes else EXIT_ANOMALY
 
 
-def _chain_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
-    max_m = _depth_budget(parser, args, n)
+def _chain_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
+    max_m = _depth_budget(args, n)
     state = run_chain(oracle, target, n, max_m, args.window, lam)
     report = {
         "level": n,
@@ -181,8 +153,8 @@ def _chain_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]
     return report, EXIT_OK
 
 
-def _coherent_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, int]:
-    max_m = _depth_budget(parser, args, n)
+def _coherent_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
+    max_m = _depth_budget(args, n)
     base = {"levels": n, "max_m": max_m, "window": args.window}
     try:
         result = coherent_solution(oracle, target, n, max_m, args.window, lam)
@@ -206,7 +178,7 @@ def _coherent_report(parser, args, oracle, target, lam, n: int) -> tuple[dict, i
     return report, EXIT_OK if rep.residual_ok else EXIT_ANOMALY
 
 
-def _metric_report(parser, args, oracle, target, lam, r1: int) -> tuple[dict, int]:
+def _metric_report(args, oracle, target, lam, r1: int) -> tuple[dict, int]:
     r2 = args.max_m if args.max_m is not None else r1
     if r2 < 0:
         raise SpecFormatError("--max-m must be nonnegative in metric mode")
@@ -253,8 +225,9 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
     """Write per-family regression baselines with seeded sparse targets.
 
     Each entry's file is named after the entry's last path component plus
-    ``.json``, inside ``out_dir`` whatever the entry; two entries that give
-    the same name are refused before anything is written.  Outputs are
+    ``.json``, inside ``out_dir`` whatever the entry.  Every fixture is
+    built before ``out_dir`` is made, so two entries that give the same name,
+    or an entry that fails, leave nothing written.  Outputs are
     byte-identical for identical arguments.  Solved values are whatever this
     build computes, recorded for change detection, not as independently
     verified ground truth; residual checks are the part that is
@@ -266,9 +239,8 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
     clash = next((n for i, n in enumerate(names) if n in names[:i]), None)
     if clash is not None:
         raise SpecFormatError(f"two --graph entries would both write fixture {clash!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for shorthand, name in zip(families, names):
+    texts = []
+    for shorthand in families:
         spec = graph_spec_from_text(shorthand)
         oracle = family_oracle(spec)
         rng = random.Random(f"{seed}:{shorthand}")
@@ -306,20 +278,21 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
             "target": target_spec,
             "results": results,
         }
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dump_report(fixture))
-        written.append(name)
-    return written
+        texts.append(dump_report(fixture))
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in zip(names, texts):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return names
 
 
-def _fixtures_report(parser, args) -> tuple[dict, int]:
+def _fixtures_report(args) -> tuple[dict, int]:
     if args.out is None:
-        parser.error("--mode fixtures requires --out DIRECTORY")
+        _usage_error("--mode fixtures requires --out DIRECTORY")
     families = [s for s in (args.graph or DEFAULT_FIXTURE_FAMILIES).split(",") if s]
     max_radius = args.radius if args.radius is not None else 3
     if max_radius < 0:
-        parser.error("--radius must be nonnegative")
+        _usage_error("--radius must be nonnegative")
     files = emit_fixtures(args.seed, families, max_radius, args.out)
     report = {
         "mode": "fixtures",
@@ -331,30 +304,185 @@ def _fixtures_report(parser, args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+# --- flags ------------------------------------------------------------------
+
+MODES = (*_REPORTS, "fixtures")
+_CHOICES = "{" + ",".join(MODES) + "}"
+
+# The texts argparse printed for these flags at its default width of 80
+# columns; they do not re-wrap with COLUMNS.
+USAGE = f"""\
+usage: exactlap [-h] [--graph GRAPH] [--target TARGET] --mode
+                {_CHOICES}
+                [--radius RADIUS] [--max-m MAX_M] [--window WINDOW]
+                [--lambda LAM] [--out OUT] [--seed SEED]
+"""
+
+HELP = f"""\
+{USAGE}
+Exact rational preimages of the combinatorial Laplacian on balls.
+
+options:
+  -h, --help            show this help message and exit
+  --graph GRAPH         graph family shorthand, inline JSON, or JSON file
+                        (default: z)
+  --target TARGET       target function shorthand, inline JSON, or JSON file
+  --mode {_CHOICES}
+                        what to compute
+  --radius RADIUS       ball radius (ball/certify/metric) or level count
+                        (chain/coherent)
+  --max-m MAX_M         depth budget for chains; second radius in metric mode
+  --window WINDOW       consecutive equal images required to declare
+                        stabilization
+  --lambda LAM          diagonal weight: zero, distance, a rational, or JSON
+  --out OUT             also write the report to this file (fixtures: output
+                        directory)
+  --seed SEED           seed for fixture target generation
+
+{SCHEMA_HELP}"""
+
+
+def _usage_error(message: str):
+    """Exit 64 with the usage, the error and the schema help on standard error."""
+    sys.stderr.write(f"{USAGE}error: {message}\n{SCHEMA_HELP}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _int_value(text: str) -> int:
+    """An integer flag: an optional ``-`` and ASCII decimal digits."""
+    digits = text[1:] if text.startswith("-") else text
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # over CPython's digit limit
+        pass
+    raise ValueError(f"invalid int value: {text!r}")
+
+
+def _mode_value(text: str) -> str:
+    if text not in MODES:
+        choices = ", ".join(map(repr, MODES))
+        raise ValueError(f"invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+# flag -> (attribute, type, default); --mode is required
+_FLAGS = {
+    "--graph": ("graph", str, None),
+    "--target": ("target", str, "delta"),
+    "--mode": ("mode", _mode_value, None),
+    "--radius": ("radius", _int_value, None),
+    "--max-m": ("max_m", _int_value, None),
+    "--window": ("window", _int_value, 3),
+    "--lambda": ("lam", str, "zero"),
+    "--out": ("out", str, None),
+    "--seed": ("seed", _int_value, 0),
+}
+_OPTIONS = ("-h", "--help", *_FLAGS)
+
+
+def _negative_number(token: str) -> bool:
+    """``-7``, ``-7.5`` or ``-.5``: a token that starts with ``-`` but is a value."""
+    whole, dot, frac = token[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (whole == "" or whole.isdecimal()) and frac.isdecimal()
+
+
+def _classify(token: str) -> tuple[str | None, str | None] | None:
+    """None for a value, else (flag, text after ``=`` or None); flag None if unknown."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in _OPTIONS:
+        return token, None
+    name, eq, explicit = token.partition("=")
+    explicit = explicit if eq else None
+    if name in _OPTIONS:
+        return name, explicit
+    if token.startswith("--"):
+        matches = [o for o in _OPTIONS if o.startswith(name)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif token.startswith("-h"):  # -hh reads as -h -h
+        return "-h", token[2:]
+    if _negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def parse_flags(argv: list[str]) -> SimpleNamespace:
+    """The flag values by attribute, parsed as argparse would with these flags.
+
+    Flags are long, given as ``--flag value`` or ``--flag=value``, and a
+    unique prefix names its flag; the last of repeated flags wins.  A value
+    may start with ``-`` only if it is a negative number (or holds a space).
+    ``--`` and whatever follows it are never flags.  Tokens are read left to
+    right: ``-h`` prints the help and exits 0, and a bad value exits 64 at
+    once; an ambiguous prefix anywhere before ``--`` exits 64 before
+    anything else, and a missing ``--mode``, then tokens that no flag takes,
+    exit 64 at the end.
+    """
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_classify(token) for token in argv[:end]]
+    values = {attr: default for attr, _, default in _FLAGS.values()}
+    extras = []
+    i = 0
+    while i < end:
+        flag, explicit = kinds[i] or (None, None)
+        i += 1
+        if flag is None:
+            extras.append(argv[i - 1])
+        elif flag in ("-h", "--help"):
+            if explicit is not None:
+                rest = explicit.lstrip("h") if flag == "-h" else explicit
+                if rest or not explicit:
+                    _usage_error(f"argument -h/--help: ignored explicit argument {rest!r}")
+            sys.stdout.write(HELP)
+            raise SystemExit(EXIT_OK)
+        else:
+            attr, kind, _ = _FLAGS[flag]
+            if explicit is None:
+                if i == end or kinds[i] is not None:
+                    _usage_error(f"argument {flag}: expected one argument")
+                explicit = argv[i]
+                i += 1
+            try:
+                values[attr] = kind(explicit)
+            except ValueError as e:
+                _usage_error(f"argument {flag}: {e}")
+    if values["mode"] is None:
+        _usage_error("the following arguments are required: --mode")
+    extras += argv[end:]
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse flags, run the requested mode, print one JSON report."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     degenerate = None  # a singular ball or empty stabilized image, reported like any outcome
     try:
-        args = parser.parse_args(argv)
+        args = parse_flags(argv)
         if args.mode == "fixtures":
-            report, code = _fixtures_report(parser, args)
+            report, code = _fixtures_report(args)
         else:
             oracle = graph_from_text(args.graph or "z")
             probe = args.radius if args.radius is not None else 2
             validate_oracle(oracle, min(2, max(0, probe)))
             lam = lambda_from_text(args.lam)
             if args.window < 1:
-                parser.error("--window must be at least 1")
+                _usage_error("--window must be at least 1")
             if args.radius is None:
-                parser.error(f"--mode {args.mode} requires --radius")
+                _usage_error(f"--mode {args.mode} requires --radius")
             if args.radius < 0:
-                parser.error("--radius must be nonnegative")
+                _usage_error("--radius must be nonnegative")
             target = target_from_text(args.target)
             try:
-                fields, code = _REPORTS[args.mode](parser, args, oracle, target, lam, args.radius)
+                fields, code = _REPORTS[args.mode](args, oracle, target, lam, args.radius)
                 report = {"mode": args.mode, "graph": oracle.name, "target": args.target,
                           "lambda": describe_lambda(lam), **fields}
             except SingularSystem as e:

@@ -1,12 +1,15 @@
 """Command-line interface: reports, exit codes, determinism, wire formats."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from exactlap.cli import (
@@ -15,6 +18,7 @@ from exactlap.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_WINDOW_EXCEEDED,
+    SCHEMA_HELP,
     run_cli,
 )
 from exactlap.errors import SingularSystem, SpecFormatError
@@ -594,10 +598,194 @@ def test_fixture_name_clash_exits_3_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_fixture_entry_that_fails_leaves_nothing_written(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, err = invoke(capsys, ["--mode", "fixtures", "--out", str(out_dir), "--radius", "1",
+                                     "--graph", "z,tree1"])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("invalid input:")
+    assert not out_dir.exists()
+
+
 def test_help_exits_zero(capsys):
     code = run_cli(["--help"])
     capsys.readouterr()
     assert code == 0
+
+
+# --- flag grammar -------------------------------------------------------------
+# The cases below pin the grammar argparse gave these flags; they pass with the
+# former argparse parser too.
+
+HELP_TEXT = (Path(__file__).with_name("cli_help.txt")).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "ball", "--rad", "2"],
+        ["--mode=ball", "--radius=2"],
+        ["--mo=ball", "--rad=2", "--gr=z", "--lam=zero"],
+        ["--mode", "ball", "--radius", "5", "--radius", "2"],
+        ["--graph", "z2", "--mode", "ball", "--graph", "z", "--radius", "2"],
+    ],
+    ids=["prefix", "equals", "prefix-equals", "repeated", "repeated-graph"],
+)
+def test_flag_spellings_give_one_report(capsys, argv):
+    expected = invoke(capsys, ["--mode", "ball", "--graph", "z", "--radius", "2"])
+    assert expected[0] == EXIT_OK
+    assert invoke(capsys, argv) == expected
+
+
+CHOICES = "'ball', 'certify', 'chain', 'coherent', 'metric', 'fixtures'"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m", "ball", "--radius", "1"], "ambiguous option: --m could match --mode, --max-m"),
+        (["--mode", "ball", "--radius", "1", "--m=2"], "ambiguous option: --m=2 could match --mode, --max-m"),
+        (["--mode", "ball", "--radius", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--mode", "ball", "--radius", "1", "-x", "y"], "unrecognized arguments: -x y"),
+        (["x", "--mode", "ball", "--radius", "1"], "unrecognized arguments: x"),
+        (["--mode", "ball", "--radius"], "argument --radius: expected one argument"),
+        (["--mode", "ball", "--radius", "1", "--graph", "-x"], "argument --graph: expected one argument"),
+        (["--mode", "ball", "--radius", "1", "--lambda", "-1/2"], "argument --lambda: expected one argument"),
+        (["--mode", "ball", "--radius", "x"], "argument --radius: invalid int value: 'x'"),
+        (["--mode", "nonsense"], f"argument --mode: invalid choice: 'nonsense' (choose from {CHOICES})"),
+        (["--mode="], f"argument --mode: invalid choice: '' (choose from {CHOICES})"),
+        (["--radius", "1"], "the following arguments are required: --mode"),
+        (["--bogus", "--radius", "1"], "the following arguments are required: --mode"),
+        (["--mode", "ball", "--radius", "1", "--"], "unrecognized arguments: --"),
+        (["--mode", "ball", "--radius", "1", "--", "-h"], "unrecognized arguments: -- -h"),
+        (["--", "--mode", "ball", "--radius", "1"], "the following arguments are required: --mode"),
+        (["--radius", "x", "-h"], "argument --radius: invalid int value: 'x'"),
+        (["-h", "--m"], "ambiguous option: --m could match --mode, --max-m"),
+        (["--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+        (["-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+    ],
+)
+def test_flag_grammar_usage_errors(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: exactlap ")
+    assert f"error: {message}" in err.splitlines()
+    assert "input schemas" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "ball", "--radius", "1", "--lambda", "-1"],
+        ["--mode", "ball", "--radius", "1", "--lambda=-1"],
+        ["--mode", "ball", "--radius", "1", "--lambda", "-1.5"],
+        ["--mode", "ball", "--radius", "1", "--target", "-x y"],
+    ],
+)
+def test_values_that_look_like_numbers_reach_validation(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["-h"],
+        ["--he"],
+        ["-hh"],
+        ["--mode", "ball", "--radius", "1", "-h"],
+        ["-h", "--radius", "x"],
+        ["--bogus", "-h"],
+    ],
+)
+def test_help_prints_the_committed_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, argv) == (EXIT_OK, HELP_TEXT, "")
+
+
+def test_help_and_usage_do_not_rewrap(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "40")
+    assert invoke(capsys, ["--help"]) == (EXIT_OK, HELP_TEXT, "")
+    code, _, err = invoke(capsys, ["--mode", "nonsense"])
+    usage = HELP_TEXT[: HELP_TEXT.index("\n\n") + 1]
+    assert code == EXIT_USAGE
+    assert err == f"{usage}error: argument --mode: invalid choice: 'nonsense' (choose from {CHOICES})\n{SCHEMA_HELP}\n"
+
+
+INT_FLAGS = ["--radius", "--max-m", "--window", "--seed"]
+
+
+@pytest.mark.parametrize("value", ["٢", "１", " 1_0", "1_0", "+1", " 1", "1 ", "0x1", "1.0", "", "-", "--1"])
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_integer_flags_take_ascii_decimal_only(capsys, flag, value):
+    code, out, err = invoke(capsys, ["--mode", "chain", "--radius", "1", f"{flag}={value}"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"error: argument {flag}: invalid int value: {value!r}" in err.splitlines()
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts integer literals of any length",
+)
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_integer_flags_over_the_digit_limit_exit_64(capsys, flag):
+    code, out, err = invoke(capsys, ["--mode", "chain", "--radius", "1", flag, HUGE])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"error: argument {flag}: invalid int value: {HUGE!r}" in err.splitlines()
+
+
+def test_integer_flags_take_leading_zeros_and_minus(capsys):
+    code, out, _ = invoke(capsys, ["--mode", "chain", "--radius", "01", "--max-m", "008",
+                                   "--window", "0003", "--seed", "-7"])
+    assert code == EXIT_OK
+    assert invoke(capsys, ["--mode", "chain", "--radius", "1", "--max-m", "8"]) == (EXIT_OK, out, "")
+    code, out, err = invoke(capsys, ["--mode", "chain", "--radius", "1", "--max-m", "-1"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error: --max-m -1 must be at least --radius 1" in err.splitlines()
+
+
+# Tokens whose integer spellings int() and the CLI read alike; "--flag=--" is
+# left out, since argparse drops that "--" and leaves the flag a list.
+GRAMMAR_TOKENS = [
+    "--mode", "--mo", "--m", "--mode=ball", "--mode=", "--radius", "--rad", "--r=2",
+    "--max-m", "--max", "--ma=1", "--window", "--w", "--graph", "--g=z", "--gr",
+    "--target", "--t", "--lambda", "--l=1", "--out", "--o", "--seed", "--s=3",
+    "-h", "--help", "--he", "--help=", "--h=x", "-hh", "-hx", "-h=h", "-h=",
+    "--", "--=x", "---x", "--bogus", "-x", "-",
+    "ball", "chain", "fixtures", "nonsense", "z", "1", "-1", "007", "-0", "-.5", "-2.5",
+    "x", "", "-x y", "-1/2", "a=b",
+]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("values", vars(parse(argv)))
+        except SystemExit as e:
+            result = ("exit", e.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="the oracle is argparse as CPython 3.10 and 3.11 have it")
+# the fixture only pins COLUMNS, the same for every example
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=8))
+def test_flag_parse_matches_argparse(monkeypatch, argv):
+    from argparse_oracle import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+
+    new, new_out, new_err = _parse_outcome(cli_module.parse_flags, argv)
+    old, old_out, old_err = _parse_outcome(build_parser().parse_args, argv)
+    assert new == old
+    if new == ("exit", EXIT_OK):  # help: 3.10 titles its option list differently
+        assert new_out.startswith("usage: exactlap ") and old_out.startswith("usage: exactlap ")
+    else:
+        assert (new_out, new_err) == (old_out, old_err)
 
 
 def test_module_entry_point_runs_in_a_subprocess():
