@@ -181,7 +181,7 @@ def _coherent_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
 def _metric_report(args, oracle, target, lam, r1: int) -> tuple[dict, int]:
     r2 = args.max_m if args.max_m is not None else r1
     if r2 < 0:
-        raise SpecFormatError("--max-m must be nonnegative in metric mode")
+        _usage_error("--max-m must be nonnegative in metric mode")
     depth = min(r1, r2)
     f = solve_on_ball(oracle, target, r1, lam).solution
     h = solve_on_ball(oracle, target, r2, lam).solution
@@ -289,7 +289,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
 def _fixtures_report(args) -> tuple[dict, int]:
     if args.out is None:
         _usage_error("--mode fixtures requires --out DIRECTORY")
-    families = [s for s in (args.graph or DEFAULT_FIXTURE_FAMILIES).split(",") if s]
+    families = (DEFAULT_FIXTURE_FAMILIES if args.graph is None else args.graph).split(",")
     max_radius = args.radius if args.radius is not None else 3
     if max_radius < 0:
         _usage_error("--radius must be nonnegative")
@@ -470,7 +470,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.mode == "fixtures":
             report, code = _fixtures_report(args)
         else:
-            oracle = graph_from_text(args.graph or "z")
+            oracle = graph_from_text("z" if args.graph is None else args.graph)
             probe = args.radius if args.radius is not None else 2
             validate_oracle(oracle, min(2, max(0, probe)))
             lam = lambda_from_text(args.lam)

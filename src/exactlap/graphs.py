@@ -26,7 +26,9 @@ class GraphOracle:
 
     ``raw_neighbors`` must be deterministic and is only ever called on keys
     the oracle has already discovered.  Expansion is protected by a lock so
-    read-only sharing across threads is safe.
+    read-only sharing across threads is safe.  ``finite`` records that the
+    graph is finite, a fact of the family that image chains rely on; an
+    oracle is taken to be infinite unless its constructor says otherwise.
     """
 
     def __init__(
@@ -35,10 +37,12 @@ class GraphOracle:
         raw_neighbors: Callable[[Hashable], Iterable[Hashable]],
         label: Callable[[Hashable], str] = str,
         name: str = "custom",
+        finite: bool = False,
     ) -> None:
         self._raw = raw_neighbors
         self._label_fn = label
         self.name = name
+        self.finite = finite
         self._keys: list[Hashable] = [root_key]
         self._ids: dict[Hashable, int] = {root_key: 0}
         self._adj: list[tuple[int, ...]] = []
@@ -345,7 +349,7 @@ def cycle_oracle(size: int) -> GraphOracle:
     """Finite cycle; neighbors of i are ((i-1) mod size, (i+1) mod size)."""
     if size < 3:
         raise BadFamilyParameter(f"cycle size must be >= 3, got {size}")
-    return GraphOracle(0, lambda i: ((i - 1) % size, (i + 1) % size), name=f"cycle{size}")
+    return GraphOracle(0, lambda i: ((i - 1) % size, (i + 1) % size), name=f"cycle{size}", finite=True)
 
 
 def path_oracle(size: int) -> GraphOracle:
@@ -356,7 +360,7 @@ def path_oracle(size: int) -> GraphOracle:
     def raw(i):
         return [j for j in (i - 1, i + 1) if 0 <= j < size]
 
-    return GraphOracle(0, raw, name=f"path{size}")
+    return GraphOracle(0, raw, name=f"path{size}", finite=True)
 
 
 def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) -> GraphOracle:
@@ -388,7 +392,7 @@ def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) 
         adj[i].add(j)
         adj[j].add(i)
     lists = [tuple(sorted(s)) for s in adj]
-    oracle = GraphOracle(root, lambda i: lists[i], name="custom")
+    oracle = GraphOracle(root, lambda i: lists[i], name="custom", finite=True)
     # connectivity from the root; also rules out isolated vertices
     reached = {oracle.key_of(v) for v in enumerate_ball(oracle, vertices).vertices}
     if len(reached) != vertices:

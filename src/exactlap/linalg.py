@@ -30,9 +30,13 @@ what stabilization detection in the solver relies on.  One back pass,
 reads the set off the cleared rows: the unique point of `solve_exact`, and
 the canonical form of `solution_image`, whose columns left without a pivot
 are exactly the reduced-echelon pivot columns.  `solve_exact` hands every
-positive-dimensional set to `solution_image`, and `AffineSubspace` a point
-plus a spanning set, so `_eliminate` is the only code here that chooses
-pivots and `_read_off` the only one that back-reduces.
+positive-dimensional set to `solution_image` (a system with fewer
+equations than unknowns without a rank pass first), and `AffineSubspace` a
+point plus a spanning set, so `_eliminate` is the only code here that
+chooses pivots and `_read_off` the only one that back-reduces.  Likewise
+`AffineSubspace.member` is the only code that reads the canonical form as
+a parametrisation of the set: membership tests and the solver's lift go
+through it.
 """
 
 from __future__ import annotations
@@ -270,28 +274,31 @@ class AffineSubspace:
         """Affine dimension, or None for the empty set."""
         return None if self.is_empty else len(self.basis)
 
+    def member(self, coords: Sequence[Fraction]) -> Vector:
+        """The member equal to ``coords`` on the basis pivot columns inside it, 0 on the others.
+
+        It is the canonical point plus ``coords[c]`` times basis vector c for
+        each such pivot column c: the point vanishes on every pivot column,
+        and basis vector c is 1 at c and 0 at the other pivot columns.  This
+        is the one place that reads the canonical form as a parametrisation.
+        """
+        y = self.particular
+        for row, c in zip(self.basis, self.pivot_cols):
+            if c < len(coords) and coords[c]:
+                y = tuple(a + coords[c] * b for a, b in zip(y, row))
+        return y
+
     def contains(self, point: Sequence[Fraction]) -> bool:
         if len(point) != self.ambient_dim:
             raise DimensionMismatch("membership test with wrong vector length")
-        if self.is_empty:
-            return False
-        v = [Fraction(x) - p for x, p in zip(point, self.particular)]
-        return self._direction_residual_zero(v)
+        point = tuple(point)
+        return not self.is_empty and self.member(point) == point
 
     def contains_direction(self, vector: Sequence[Fraction]) -> bool:
         """Whether a vector lies in the direction space of this subspace."""
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("direction test with wrong vector length")
-        if self.is_empty:
-            return False
-        return self._direction_residual_zero([Fraction(x) for x in vector])
-
-    def _direction_residual_zero(self, v: list[Fraction]) -> bool:
-        for row, c in zip(self.basis, self.pivot_cols):
-            coef = v[c]
-            if coef:
-                v = [a - coef * b for a, b in zip(v, row)]
-        return not any(v)
+        return not self.is_empty and self.contains([p + x for p, x in zip(self.particular, vector)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineSubspace):
@@ -315,21 +322,21 @@ class AffineSubspace:
 def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     """Full solution set of ``a x = b`` as a canonical affine subspace.
 
-    Minimum-degree elimination of the augmented system decides the rank.
-    A positive-dimensional set is handed to `solution_image` over all of
-    its coordinates; otherwise `_read_off` gives the unique point or the
-    empty set.
+    A system with fewer equations than unknowns always has free columns,
+    so it goes straight to `solution_image` over all of its coordinates.
+    Otherwise minimum-degree elimination of the augmented system decides
+    the rank: a positive-dimensional set goes to `solution_image` too, and
+    `_read_off` gives the unique point or the empty set, already canonical.
     """
     if a.rows != len(b):
         raise DimensionMismatch(
             f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
         )
     n = a.cols
-    rows, pivots, _, _ = _eliminate(a, b)
-    if len(pivots) < n:
+    if a.rows < n:  # never full rank
         return solution_image(a, b, n)
-    s = _read_off(rows, pivots, n, n)
-    return s if s.is_empty else AffineSubspace.from_point(s.particular)
+    rows, pivots, _, _ = _eliminate(a, b)
+    return _read_off(rows, pivots, n, n) if len(pivots) == n else solution_image(a, b, n)
 
 
 def _combine(r: dict[int, int], q: dict[int, int], c: int) -> dict[int, int]:

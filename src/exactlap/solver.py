@@ -16,12 +16,14 @@ stabilized image extend level by level, so one obtains a family x_0, x_1,
 ... where each x_{n+1} agrees with x_n on its whole domain ball; the union
 is a single global preimage.
 
-Stabilization is certified syntactically: a configurable number of
-consecutive chain images must be equal as canonical affine subspaces.  If
-the level budget runs out first, the honest answer is "window exceeded",
-never a claimed stabilization.  The canonical point of a stabilized image
-is re-checked against the target through `apply_laplacian`, as are the
-ball and coherent solutions.
+Stabilization asks for a configurable number of consecutive chain images
+that are equal as canonical affine subspaces.  On a finite graph the run
+must end at a depth m whose ball B_m is the whole graph: from there on the
+system no longer changes, so the image is exact.  On an infinite graph the
+run is a window observation.  If the depth budget runs out first, the
+honest answer is "window exceeded", never a claimed stabilization.  The
+canonical point of a stabilized image is re-checked against the target
+through `apply_laplacian`, as are the ball and coherent solutions.
 """
 
 from __future__ import annotations
@@ -200,11 +202,14 @@ def run_chain(
     B_{n+1} are eliminated from the depth-m system, and the rows left over
     cut out the image, so the solution set on B_{m+1} is never built.
     Stops as soon as ``window`` consecutive images are equal as canonical
-    subspaces, reporting where constancy began.  Nestedness and dimension
-    monotonicity are enforced at every step, and the canonical point of a
-    non-empty stabilized image is re-checked against the target through
-    `apply_laplacian`; a violation means a bug, not a mathematical outcome,
-    and raises ChainViolation.
+    subspaces, reporting where constancy began; on a finite graph the last
+    of them must also be at a depth m whose B_m is saturated, from where
+    the system no longer changes.  Each image is compared with the previous
+    one first: an equal image needs no nesting test, and a changed one must
+    be of strictly smaller dimension and contained in the previous image.
+    The canonical point of a non-empty stabilized image is re-checked
+    against the target through `apply_laplacian`.  A violation means a
+    bug, not a mathematical outcome, and raises ChainViolation.
     """
     if n > max_m:
         raise BadRadii(f"chain needs level {n} <= depth budget {max_m}")
@@ -213,29 +218,26 @@ def run_chain(
     ambient_ball = enumerate_ball(oracle, n + 1)
     images: list[tuple[int, AffineSubspace]] = []
     prev: AffineSubspace | None = None
-    run_length = 0
+    run_length = -1  # the current run of equal images has run_length + 1 of them
     stabilized_at: int | None = None
     for m in range(n, max_m + 1):
-        rhs = target.on_ball(enumerate_ball(oracle, m)).values
+        ball = enumerate_ball(oracle, m)
+        rhs = target.on_ball(ball).values
         img = solution_image(restricted_operator_matrix(oracle, m, lam), rhs, ambient_ball.size)
-        if prev is not None:
+        if prev is None or subspace_equal(img, prev):
+            run_length += 1
+        else:
+            if _dim_rank(img) >= _dim_rank(prev):
+                raise ChainViolation(f"image dimension did not drop where it changed at depth {m}")
             if not affine_subset(img, prev):
                 raise ChainViolation(
                     f"projection from depth {m} is not contained in the previous image"
                 )
-            if _dim_rank(img) > _dim_rank(prev):
-                raise ChainViolation(f"image dimension grew between depths {m - 1} and {m}")
-            if subspace_equal(img, prev):
-                run_length += 1
-            else:
-                if _dim_rank(img) == _dim_rank(prev):
-                    raise ChainViolation(
-                        f"nested images of equal dimension differ at depth {m}"
-                    )
-                run_length = 0
+            run_length = 0
         images.append((m, img))
         prev = img
-        if run_length >= window - 1:
+        # on a finite graph only a saturated B_m fixes the system for good
+        if run_length >= window - 1 and (ball.boundary_saturated or not oracle.finite):
             stabilized_at = m - (window - 1)
             break
     if stabilized_at is not None and not prev.is_empty:
@@ -257,11 +259,10 @@ def run_chain(
 def _lift(chain: ChainState, prefix: tuple[Fraction, ...]) -> BallFunction:
     """The member of the chain's stabilized image that extends ``prefix``.
 
-    The image's point vanishes on the basis pivot columns and its basis is
-    reduced-echelon there, so the point plus prefix[c] times basis vector c,
-    over the pivot columns c inside the prefix, is the only member that can
-    extend the prefix (a basis vector pivoted outside it vanishes on all of
-    it).  The empty prefix therefore gives the canonical point.  Raises
+    ``img.member(prefix)`` is the only member that can extend the prefix:
+    it agrees with the prefix on the basis pivot columns inside it, and a
+    basis vector pivoted outside the prefix vanishes on all of it.  The
+    empty prefix therefore gives the canonical point.  Raises
     EmptyUniversalSet on an empty image and LiftFailed, rather than a
     guess, when that member does not extend the prefix.
     """
@@ -274,11 +275,7 @@ def _lift(chain: ChainState, prefix: tuple[Fraction, ...]) -> BallFunction:
             level=chain.level,
             boundary_saturated=enumerate_ball(chain.ball.oracle, deepest).boundary_saturated,
         )
-    y = list(img.particular)
-    for row, c in zip(img.basis, img.pivot_cols):
-        if c < len(prefix) and prefix[c]:
-            y = [a + prefix[c] * b for a, b in zip(y, row)]
-    lifted = BallFunction(chain.ball, tuple(y))
+    lifted = BallFunction(chain.ball, img.member(prefix))
     if lifted.values[: len(prefix)] != prefix:
         raise LiftFailed(
             f"no element of the stabilized image at level {chain.level} extends level {chain.level - 1}"

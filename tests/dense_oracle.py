@@ -6,7 +6,8 @@ to integers once, eliminates column by column in natural order with exact
 one-step divisions, and `dense_solve` back-substitutes in fractions.
 `rref` is the former dense reduced row echelon pass; `canonical` uses it
 to put a point and a spanning set in the package's canonical
-`AffineSubspace` form, so the two paths can be compared by equality.
+`AffineSubspace` form, so the two paths can be compared by equality, and
+`dense_contains` to decide membership in a point plus a spanning set.
 Nothing here builds an `AffineSubspace` from a spanning set or calls the
 package's images: the canonical fields are computed here and only wrapped.
 
@@ -57,6 +58,12 @@ def canonical(ambient: int, point: Sequence[Fraction], span: Sequence[Sequence[F
         if coef:
             reduced = [a - coef * b for a, b in zip(reduced, row)]
     return AffineSubspace._canonical(ambient, tuple(reduced), tuple(map(tuple, rows)), tuple(pivots))
+
+
+def dense_contains(point: Sequence[Fraction], span: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> bool:
+    """Whether ``x`` lies in ``point + span``: its offset from the point adds no rank to the span."""
+    gap = [Fraction(a) - b for a, b in zip(x, point)]
+    return len(rref([*span, gap], len(point))[1]) == len(rref(span, len(point))[1])
 
 
 def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -317,6 +317,39 @@ def test_coherent_on_unsolvable_finite_graph(capsys):
     assert report["unsolvable_expected_finite"] is True
 
 
+C7_DELTA = ["--graph", "c7", "--radius", "0", "--max-m", "8", "--target", "delta"]
+
+
+def test_finite_chain_stabilizes_only_once_the_graph_is_saturated(capsys):
+    """c7 saturates at depth 3, where delta (nonzero sum, no weight) leaves the range."""
+    code, out, _ = invoke(capsys, ["--mode", "chain", *C7_DELTA])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["status"] == "stabilized"
+    assert report["stabilized_at"] == 3
+    assert [img["dim"] for img in report["images"]] == [2, 2, 2, None, None, None]
+    assert report["universal_set_empty"] is True
+
+
+def test_finite_coherent_finds_no_element_past_the_saturated_depth(capsys):
+    code, out, err = invoke(capsys, ["--mode", "coherent", *C7_DELTA])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["status"] == "no_universal_element"
+    assert report["unsolvable_expected_finite"] is True
+    assert err == ""
+
+
+def test_finite_coherent_lifts_the_saturated_images(capsys):
+    code, out, err = invoke(capsys, ["--mode", "coherent", "--graph", "p4", "--radius", "1",
+                                     "--max-m", "5", "--target", "radial:1,1/2", "--lambda", "distance"])
+    assert (code, err) == (EXIT_OK, "")
+    report = json.loads(out)
+    assert report["status"] == "ok"
+    assert report["residual_zero"] is True
+    assert report["solution"] == {"0": "111/65", "1": "46/65", "2": "8/65"}
+
+
 # --- metric mode ------------------------------------------------------------
 
 
@@ -351,6 +384,7 @@ def test_metric_between_two_radii(capsys):
         ["--mode", "chain", "--radius", "3", "--max-m", "1"],
         ["--mode", "ball", "--radius", "1", "--window", "0"],
         ["--mode", "fixtures"],
+        ["--mode", "metric", "--radius", "1", "--max-m", "-1"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
@@ -391,6 +425,9 @@ def test_usage_errors_exit_64(capsys, argv):
         ["--mode", "fixtures", "--out", "{tmp}/latin1.json"],
         # a degenerate report takes the same --out path
         ["--graph", "c4", "--mode", "ball", "--radius", "3", "--out", "{tmp}"],
+        # an empty --graph is a spec like any other, not the default
+        ["--graph", "", "--mode", "ball", "--radius", "1"],
+        ["--graph", "", "--mode", "fixtures", "--out", "{tmp}/fixtures"],
     ],
 )
 def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
@@ -400,6 +437,7 @@ def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
     assert code == EXIT_INVALID
     assert out == ""
     assert "invalid input" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["latin1.json"]  # nothing written
 
 
 @pytest.mark.parametrize(

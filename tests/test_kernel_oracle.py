@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import canonical, dense_determinant, dense_images, dense_solve, pinned_lift
+from dense_oracle import canonical, dense_contains, dense_determinant, dense_images, dense_solve, pinned_lift
 from exactlap.errors import DimensionMismatch
 from exactlap.graphs import (
     custom_oracle,
@@ -267,6 +267,32 @@ def test_spans_and_their_images_match_the_oracle(case):
     # the image of p + span(V) under M is M p + span(M V)
     want = canonical(len(m), [_dot(r, point) for r in m], [[_dot(r, v) for r in m] for v in span])
     assert_same_subspace(image_under_map(s, RationalMatrix(m)), want)
+
+
+@st.composite
+def member_case(draw):
+    """A span case, coordinates as long as any prefix, a point of the set and a drawn vector."""
+    n, point, span, _ = draw(span_case())
+    coords = draw(st.lists(entry, max_size=n))
+    t = draw(st.lists(entry, min_size=len(span), max_size=len(span)))
+    inside = [p + sum((c * v[j] for c, v in zip(t, span)), Fraction(0)) for j, p in enumerate(point)]
+    return n, point, span, coords, inside, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_case())
+def test_member_parametrises_the_canonical_form(case):
+    """``member`` lies in the set and takes the given coordinates on the pivot
+    columns inside them, 0 on the rest; membership agrees with a dense rank test."""
+    n, point, span, coords, inside, drawn = case
+    s = AffineSubspace(n, point, span)
+    y = s.member(coords)
+    assert dense_contains(point, span, y)
+    for c in s.pivot_cols:
+        assert y[c] == (coords[c] if c < len(coords) else 0)
+    assert s.contains(inside) and dense_contains(point, span, inside)
+    assert s.contains(drawn) == dense_contains(point, span, drawn)
+    assert s.contains_direction(drawn) == dense_contains([Fraction(0)] * n, span, drawn)
 
 
 def test_image_prefix_bounds():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from exactlap.errors import (
     BadRadii,
+    ChainViolation,
     DimensionMismatch,
     EmptyUniversalSet,
     InsufficientDomain,
@@ -16,6 +17,7 @@ from exactlap.errors import (
     SingularSystem,
 )
 from exactlap.graphs import (
+    GraphOracle,
     custom_oracle,
     cycle_oracle,
     enumerate_ball,
@@ -26,6 +28,7 @@ from exactlap.graphs import (
     path_oracle,
     tree_oracle,
 )
+from exactlap.linalg import AffineSubspace, solution_image
 from exactlap.operators import (
     BallFunction,
     LambdaField,
@@ -34,6 +37,7 @@ from exactlap.operators import (
     restricted_operator_matrix,
     truncated_operator_matrix,
 )
+from exactlap.serialize import lambda_from_text, target_from_text
 from exactlap.solver import (
     affine_solution_set,
     coherent_solution,
@@ -363,6 +367,118 @@ def test_chains_and_solves_never_build_deep_sets(monkeypatch):
         coherent_solution(tree_oracle(3), DELTA, 2, 8, 3, LAM0)
     assert affine_solution_set(grid_oracle(2), DELTA, 2, LAM0).dim == 25 - 13
     assert solve_on_ball(tree_oracle(3), DELTA, 2, LAM0).residual_ok
+
+
+def test_wide_solution_sets_eliminate_once(monkeypatch):
+    """A system with fewer equations than unknowns goes straight to its image."""
+    calls = []
+    real = linalg_module._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_module, "_eliminate", counted)
+    oracle = grid_oracle(3)
+    sol = affine_solution_set(oracle, DELTA, 4, LAM0)
+    assert sol.dim == enumerate_ball(oracle, 5).size - enumerate_ball(oracle, 4).size
+    assert len(calls) == 1
+
+
+def _traced_chain(monkeypatch, oracle, target, n, max_m, lam):
+    """``run_chain`` with the depth of every image that reaches the nesting test."""
+    depths, tested = [], []
+    real_image = solver_module.solution_image
+    real_subset = solver_module.affine_subset
+
+    def image(a, b, k):
+        depths.append(n + len(depths))
+        return real_image(a, b, k)
+
+    def subset(inner, outer):
+        tested.append(depths[-1])
+        return real_subset(inner, outer)
+
+    monkeypatch.setattr(solver_module, "solution_image", image)
+    monkeypatch.setattr(solver_module, "affine_subset", subset)
+    return run_chain(oracle, target, n, max_m, 3, lam), tested
+
+
+@pytest.mark.parametrize("make", [line_oracle, lambda: tree_oracle(3)], ids=["z", "tree3"])
+def test_equal_chain_images_skip_the_nesting_test(make, monkeypatch):
+    for lam in (LAM0, LambdaField.distance()):
+        for n in range(3):
+            state, tested = _traced_chain(monkeypatch, make(), DELTA, n, 8, lam)
+            assert state.stabilized_at == n
+            assert tested == []
+
+
+def test_only_a_changed_chain_image_is_tested_for_nesting(monkeypatch):
+    state, tested = _traced_chain(monkeypatch, cycle_oracle(7), DELTA, 0, 8, LAM0)
+    assert state.dims() == [(0, 2), (1, 2), (2, 2), (3, None), (4, None), (5, None)]
+    assert tested == [3]
+
+
+@pytest.mark.parametrize("change", ["shifted", "full"])
+def test_a_changed_image_that_does_not_shrink_is_a_violation(change, monkeypatch):
+    """Even when the nesting test passes, a changed image must lose dimension."""
+    real = solver_module.solution_image
+    seen = []
+
+    def changed(a, b, k):
+        img = real(a, b, k)
+        seen.append(img)
+        if len(seen) < 2:
+            return img
+        if change == "full":
+            return AffineSubspace.full(k)
+        return AffineSubspace(k, (img.particular[0] + 1,) + img.particular[1:], img.basis)
+
+    monkeypatch.setattr(solver_module, "solution_image", changed)
+    monkeypatch.setattr(solver_module, "affine_subset", lambda inner, outer: True)
+    with pytest.raises(ChainViolation):
+        run_chain(line_oracle(), DELTA, 1, 6, 3, LAM0)
+
+
+def test_oracles_know_whether_their_graph_is_finite():
+    finite = [cycle_oracle(5), path_oracle(4), custom_oracle(3, [[0, 1], [1, 2]])]
+    infinite = [line_oracle(), grid_oracle(2), tree_oracle(3), ladder_oracle(2), free_group_oracle(2)]
+    assert all(o.finite for o in finite)
+    assert not any(o.finite for o in infinite)
+    assert not GraphOracle(0, lambda k: (k - 1, k + 1)).finite
+
+
+FINITE_TARGETS = ["delta", "geometric", "radial:1,1/2", "radial:0,1", "radial:1,-1,2"]
+FINITE_WEIGHTS = ["zero", "distance", "1", "1/3"]
+
+
+def test_finite_chains_report_the_image_at_the_saturated_depth():
+    """cK and pK for K = 3..11, five targets, four weights, levels 0-2, default
+    budget and window: a stabilized chain reports the image of the whole graph's
+    system, which the first saturated depth already has; a chain whose budget
+    ends before its run of equal images reaches that depth reports nothing."""
+    outcomes = {"stabilized": 0, "window_exceeded": 0}
+    for make in (cycle_oracle, path_oracle):
+        for size in range(3, 12):
+            oracle = make(size)
+            saturated = next(m for m in range(size) if enumerate_ball(oracle, m).boundary_saturated)
+            for target in map(target_from_text, FINITE_TARGETS):
+                for lam in map(lambda_from_text, FINITE_WEIGHTS):
+                    for n in range(3):
+                        state = run_chain(oracle, target, n, 8, 3, lam)
+                        outcomes[state.status] += 1
+                        if state.stabilized_at is None:
+                            assert saturated > 6, (oracle.name, n)
+                            continue
+                        m = max(n, saturated)
+                        exact = solution_image(
+                            restricted_operator_matrix(oracle, m, lam),
+                            target.on_ball(enumerate_ball(oracle, m)).values,
+                            state.ball.size,
+                        )
+                        assert state.stabilized_image == exact, (oracle.name, n)
+                        assert state.images[-1][0] >= saturated
+    assert outcomes == {"stabilized": 840, "window_exceeded": 240}
 
 
 def test_universal_element_solves_through_its_level():
