@@ -238,7 +238,7 @@ def run_chain(
         prev = img
         # on a finite graph only a saturated B_m fixes the system for good
         if run_length >= window - 1 and (ball.boundary_saturated or not oracle.finite):
-            stabilized_at = m - (window - 1)
+            stabilized_at = m - run_length
             break
     if stabilized_at is not None and not prev.is_empty:
         applied = apply_laplacian(oracle, BallFunction(ambient_ball, prev.particular), lam)

@@ -478,6 +478,9 @@ def test_finite_chains_report_the_image_at_the_saturated_depth():
                         )
                         assert state.stabilized_image == exact, (oracle.name, n)
                         assert state.images[-1][0] >= saturated
+                        start = state.stabilized_at - n
+                        assert all(img == exact for _, img in state.images[start:]), (oracle.name, n)
+                        assert start == 0 or state.images[start - 1][1] != exact, (oracle.name, n)
     assert outcomes == {"stabilized": 840, "window_exceeded": 240}
 
 
