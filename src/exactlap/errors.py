@@ -14,6 +14,15 @@ class OracleInconsistent(ExactLapError):
         super().__init__(f"oracle inconsistent at vertex {vertex}: {reason}")
 
 
+class VertexBudgetExceeded(ExactLapError):
+    """An oracle would discover more vertices than its budget allows."""
+
+    def __init__(self, budget: int, graph: str):
+        self.budget = budget
+        self.graph = graph
+        super().__init__(f"graph {graph!r} would discover more than {budget} vertices")
+
+
 class BadFamilyParameter(ExactLapError):
     """A graph-family parameter is outside its admissible range."""
 

@@ -1,207 +1,18 @@
-"""Lazy graph oracles, BFS balls, and the built-in graph families.
+"""Oracle validation and the built-in graph families.
 
-A graph is described by a neighbor function over arbitrary hashable keys
-plus a root key.  The oracle assigns dense integer ids in BFS discovery
-order: id 0 is the root, and vertices are expanded strictly in id order, so
-ids sort by (distance to root, discovery order) no matter how callers
-interleave queries.  Two consequences the rest of the package leans on:
-
-* the closed ball of radius n is exactly the id prefix ``0..|B_n|-1``;
-* matrices indexed by ball order are reproducible across runs.
-
-Neighbor lists keep the order the family documents, which fixes the id
-assignment completely.
+`GraphOracle`, `Ball` and `enumerate_ball` live in `exactlap.oracle`, and
+`Record` in `exactlap.record`; all four are re-exported here.  Each family
+documents its canonical neighbor order, which together with BFS discovery
+fixes all vertex ids.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import BadFamilyParameter, GraphSpecError, OracleInconsistent
-
-
-class GraphOracle:
-    """Lazy adjacency oracle over dense BFS-ordered vertex ids.
-
-    ``raw_neighbors`` must be deterministic and is only ever called on keys
-    the oracle has already discovered.  Expansion is protected by a lock so
-    read-only sharing across threads is safe.  ``finite`` records that the
-    graph is finite, a fact of the family that image chains rely on; an
-    oracle is taken to be infinite unless its constructor says otherwise.
-    """
-
-    def __init__(
-        self,
-        root_key: Hashable,
-        raw_neighbors: Callable[[Hashable], Iterable[Hashable]],
-        label: Callable[[Hashable], str] = str,
-        name: str = "custom",
-        finite: bool = False,
-    ) -> None:
-        self._raw = raw_neighbors
-        self._label_fn = label
-        self.name = name
-        self.finite = finite
-        self._keys: list[Hashable] = [root_key]
-        self._ids: dict[Hashable, int] = {root_key: 0}
-        self._adj: list[tuple[int, ...]] = []
-        self._dist: list[int] = [0]
-        self._lock = threading.RLock()
-
-    @property
-    def root(self) -> int:
-        return 0
-
-    def _expand_next(self) -> None:
-        i = len(self._adj)
-        key = self._keys[i]
-        ids = []
-        for nb_key in self._raw(key):
-            nb = self._ids.get(nb_key)
-            if nb is None:
-                nb = len(self._keys)
-                self._ids[nb_key] = nb
-                self._keys.append(nb_key)
-                self._dist.append(self._dist[i] + 1)
-            ids.append(nb)
-        self._adj.append(tuple(ids))
-
-    def _expand_through_distance(self, limit: int) -> None:
-        while len(self._adj) < len(self._keys) and self._dist[len(self._adj)] <= limit:
-            self._expand_next()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbor ids of a discovered vertex, in the family's documented order."""
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            while len(self._adj) <= v:
-                self._expand_next()
-            return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def distance(self, v: int) -> int:
-        """Graph distance from the root, known for every discovered vertex."""
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            return self._dist[v]
-
-    def label(self, v: int) -> str:
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            return self._label_fn(self._keys[v])
-
-    def key_of(self, v: int) -> Hashable:
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            return self._keys[v]
-
-    def __repr__(self) -> str:
-        return f"GraphOracle({self.name!r}, discovered={len(self._keys)})"
-
-
-class Record:
-    """Read-only value over the fields its class annotates, in order.
-
-    Fields are given by position or keyword; a missing, unknown or repeated
-    one is a TypeError, and a ``__post_init__`` hook may check them.  Two
-    records are equal, and hash alike, when their classes and field values
-    are; the repr is ``Name(field=value, ...)``; assignment raises
-    AttributeError.  Annotations stay unevaluated strings, so a record
-    class costs no import and generates no code.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-
-    def __init__(self, *args, **kwargs) -> None:
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} fields, {len(args)} given")
-        values = dict(zip(fields, args))
-        for field, value in kwargs.items():
-            if field not in fields or field in values:
-                kind = "repeated" if field in values else "unknown"
-                raise TypeError(f"{name} got {kind} field {field!r}")
-            values[field] = value
-        if len(values) < len(fields):
-            missing = next(field for field in fields if field not in values)
-            raise TypeError(f"{name} is missing field {missing!r}")
-        for field in fields:
-            object.__setattr__(self, field, values[field])
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, field) for field in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
-        return f"{type(self).__qualname__}({items})"
-
-    def __setattr__(self, field, value):
-        raise AttributeError(f"cannot assign to field {field!r}")
-
-    def __delattr__(self, field):
-        raise AttributeError(f"cannot delete field {field!r}")
-
-
-class Ball(Record):
-    """Closed ball around the root: an id prefix with per-vertex distances."""
-
-    oracle: GraphOracle
-    radius: int
-    vertices: tuple[int, ...]
-    distances: tuple[int, ...]
-    boundary_saturated: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < len(self.vertices)
-
-
-def enumerate_ball(oracle: GraphOracle, n: int) -> Ball:
-    """Enumerate the closed ball of radius n, probing n+1 for saturation."""
-    if n < 0:
-        raise ValueError("ball radius must be nonnegative")
-    with oracle._lock:
-        oracle._expand_through_distance(n)
-        # every vertex of distance <= n+1 is now discovered; distances are
-        # non-decreasing in id, so the ball is an id prefix
-        dist = oracle._dist
-        size = sum(1 for d in dist if d <= n)
-        saturated = len(dist) == size
-        return Ball(
-            oracle=oracle,
-            radius=n,
-            vertices=tuple(range(size)),
-            distances=tuple(dist[:size]),
-            boundary_saturated=saturated,
-        )
+from .oracle import Ball, GraphOracle, enumerate_ball
+from .record import Record
 
 
 def validate_oracle(oracle: GraphOracle, probe_radius: int) -> None:

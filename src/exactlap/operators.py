@@ -24,8 +24,9 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 
 from .errors import BadRadii, DimensionMismatch, InsufficientDomain
-from .graphs import Ball, GraphOracle, Record, enumerate_ball
-from .linalg import RationalMatrix, Vector
+from .kernel import RationalMatrix, Vector
+from .oracle import Ball, GraphOracle, enumerate_ball
+from .record import Record
 
 
 class BallFunction(Record):

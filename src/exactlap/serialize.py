@@ -179,13 +179,15 @@ def target_from_text(text: str) -> TargetFunction:
     """CLI target argument: shorthand, inline JSON, or file path.
 
     Shorthands stand for canonical JSON specs: delta, zero, geometric, and
-    radial:c0,c1,... with rational coefficients.
+    radial:c0,c1,... with rational coefficients.  Bare ``radial:`` is the
+    empty list; an empty coefficient is malformed, not skipped.
     """
     s = text.strip()
     if s in ("delta", "zero", "geometric"):
         return target_from_json({"kind": s})
     if s.startswith("radial:"):
-        coeffs = [p for p in s[len("radial:") :].split(",") if p]
+        body = s[len("radial:") :]
+        coeffs = body.split(",") if body else []
         return target_from_json({"kind": "radial", "coeffs": coeffs})
     return target_from_json(_load_spec_text(text, "target"))
 

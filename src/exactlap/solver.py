@@ -40,7 +40,6 @@ from .errors import (
     NotStabilized,
     SingularSystem,
 )
-from .graphs import Ball, GraphOracle, Record, enumerate_ball
 from .linalg import (
     AffineSubspace,
     affine_subset,
@@ -57,6 +56,8 @@ from .operators import (
     restricted_operator_matrix,
     truncated_operator_matrix,
 )
+from .oracle import Ball, GraphOracle, enumerate_ball
+from .record import Record
 
 BALL_CONSTRUCTION = "ball"
 COHERENT_CONSTRUCTION = "ml"

@@ -11,7 +11,7 @@ ASCII decimal only, so compare the two on other integer spellings.
 import argparse
 import sys
 
-from exactlap.cli import EXIT_USAGE, MODES, SCHEMA_HELP
+from exactlap.flags import EXIT_USAGE, MODES, SCHEMA_HELP
 
 
 class _Parser(argparse.ArgumentParser):

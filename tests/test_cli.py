@@ -16,12 +16,13 @@ from exactlap.cli import (
     EXIT_ANOMALY,
     EXIT_INVALID,
     EXIT_OK,
+    EXIT_OVER_BUDGET,
     EXIT_USAGE,
     EXIT_WINDOW_EXCEEDED,
-    SCHEMA_HELP,
     run_cli,
 )
 from exactlap.errors import SingularSystem, SpecFormatError
+from exactlap.flags import MODES, SCHEMA_HELP
 from exactlap.graphs import enumerate_ball, grid_oracle
 from exactlap.linalg import AffineSubspace
 from exactlap.operators import LambdaField, TargetFunction
@@ -428,6 +429,10 @@ def test_usage_errors_exit_64(capsys, argv):
         # an empty --graph is a spec like any other, not the default
         ["--graph", "", "--mode", "ball", "--radius", "1"],
         ["--graph", "", "--mode", "fixtures", "--out", "{tmp}/fixtures"],
+        # an empty radial coefficient is malformed, not skipped
+        ["--graph", "z", "--target", "radial:1,,2", "--mode", "ball", "--radius", "1"],
+        ["--graph", "z", "--target", "radial:,1", "--mode", "ball", "--radius", "1"],
+        ["--graph", "z", "--target", "radial:1,", "--mode", "ball", "--radius", "1"],
     ],
 )
 def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
@@ -646,6 +651,29 @@ def test_fixture_entry_that_fails_leaves_nothing_written(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_bare_radial_is_the_empty_list(capsys):
+    reports = []
+    for target in ("radial:", '{"kind":"radial","coeffs":[]}', "zero"):
+        code, out, err = invoke(capsys, ["--graph", "z", "--target", target, "--mode", "ball", "--radius", "1"])
+        assert (code, err) == (EXIT_OK, "")
+        reports.append(json.loads(out)["solution"])
+    assert reports == [{"0": "0", "-1": "0", "1": "0"}] * 3
+
+
+def test_graph_over_the_vertex_budget_exits_5(capsys, tmp_path):
+    """tree20000 meets the oracle's vertex budget while validation checks symmetry."""
+    out_file = tmp_path / "r.json"
+    code, out, err = invoke(capsys, ["--graph", "tree20000", "--mode", "certify", "--radius", "0",
+                                     "--out", str(out_file)])
+    assert (code, out) == (EXIT_OVER_BUDGET, "")
+    assert err == "over budget: graph 'tree20000' would discover more than 100000 vertices\n"
+    assert not out_file.exists()
+    code, out, err = invoke(capsys, ["--mode", "fixtures", "--out", str(tmp_path / "fx"), "--graph",
+                                     "z,tree20000"])
+    assert (code, out) == (EXIT_OVER_BUDGET, "")
+    assert not (tmp_path / "fx").exists()
+
+
 def test_help_exits_zero(capsys):
     code = run_cli(["--help"])
     capsys.readouterr()
@@ -657,6 +685,10 @@ def test_help_exits_zero(capsys):
 # former argparse parser too.
 
 HELP_TEXT = (Path(__file__).with_name("cli_help.txt")).read_text(encoding="utf-8")
+
+
+def test_mode_choices_are_the_report_builders_then_fixtures():
+    assert MODES == (*cli_module._REPORTS, "fixtures")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactlap.errors import BadFamilyParameter, DimensionMismatch, GraphSpecError, OracleInconsistent
+import exactlap.oracle as oracle_module
+from exactlap.errors import (
+    BadFamilyParameter,
+    DimensionMismatch,
+    GraphSpecError,
+    OracleInconsistent,
+    VertexBudgetExceeded,
+)
 from exactlap.graphs import (
     GraphOracle,
     Record,
@@ -202,6 +209,35 @@ def test_undiscovered_vertex_rejected():
         oracle.neighbors(10**6)
     with pytest.raises(ValueError):
         oracle.distance(-3)
+
+
+def test_vertex_budget_leaves_the_oracle_usable(monkeypatch):
+    """An expansion over the budget raises before it records anything."""
+    oracle = line_oracle()
+    with monkeypatch.context() as m:
+        m.setattr(oracle_module, "VERTEX_BUDGET", 5)
+        ball = enumerate_ball(oracle, 1)  # discovers 0, -1, 1, -2, 2
+        with pytest.raises(VertexBudgetExceeded) as exc:
+            enumerate_ball(oracle, 2)
+        assert (exc.value.budget, exc.value.graph) == (5, "line")
+        assert repr(oracle) == "GraphOracle('line', discovered=5)"
+        assert enumerate_ball(oracle, 1) == ball
+        with pytest.raises(VertexBudgetExceeded):
+            validate_oracle(oracle, 1)  # the symmetry check expands vertex 3
+    fresh = line_oracle()
+    assert enumerate_ball(oracle, 3).distances == enumerate_ball(fresh, 3).distances
+    assert [oracle.neighbors(v) for v in range(7)] == [fresh.neighbors(v) for v in range(7)]
+    assert [oracle.label(v) for v in range(9)] == ["0", "-1", "1", "-2", "2", "-3", "3", "-4", "4"]
+
+
+def test_one_expansion_over_budget_records_none_of_its_vertices(monkeypatch):
+    oracle = tree_oracle(20)
+    monkeypatch.setattr(oracle_module, "VERTEX_BUDGET", 20)
+    with pytest.raises(VertexBudgetExceeded):
+        oracle.neighbors(0)  # the root's 20 children make 21 vertices
+    assert repr(oracle) == "GraphOracle('tree20', discovered=1)"
+    monkeypatch.setattr(oracle_module, "VERTEX_BUDGET", 21)
+    assert oracle.neighbors(0) == tuple(range(1, 21))
 
 
 # --- validation ------------------------------------------------------------
