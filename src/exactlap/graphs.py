@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import BadFamilyParameter, GraphSpecError, OracleInconsistent
+from . import oracle as oracle_module
+from .errors import BadFamilyParameter, GraphSpecError, OracleInconsistent, VertexBudgetExceeded
 from .oracle import Ball, GraphOracle, enumerate_ball
 from .record import Record
 
@@ -86,10 +87,10 @@ def tree_oracle(degree: int) -> GraphOracle:
     if degree < 2:
         raise BadFamilyParameter(f"regular tree degree must be >= 2, got {degree}")
 
-    def raw(key):
-        if not key:
-            return [(i,) for i in range(degree)]
-        return [key[:-1]] + [key + (i,) for i in range(degree - 1)]
+    def raw(key):  # lazy, so an expansion over the vertex budget stops early
+        if key:
+            yield key[:-1]
+        yield from (key + (i,) for i in range(degree - 1 if key else degree))
 
     def label(key):
         return "e" if not key else "-".join(str(c) for c in key)
@@ -178,10 +179,13 @@ def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) 
     """Finite graph from an explicit undirected edge list.
 
     Rejects loops, repeated edges, out-of-range endpoints and disconnected
-    graphs up front; neighbor lists are sorted ascending.
+    graphs up front, and more vertices than the oracle's vertex budget
+    before anything is allocated; neighbor lists are sorted ascending.
     """
     if not isinstance(vertices, int) or vertices < 2:
         raise GraphSpecError(f"custom graph needs at least 2 vertices, got {vertices!r}")
+    if vertices > oracle_module.VERTEX_BUDGET:  # before the adjacency sets are allocated
+        raise VertexBudgetExceeded(oracle_module.VERTEX_BUDGET, "custom")
     if not 0 <= root < vertices:
         raise GraphSpecError(f"root {root} outside 0..{vertices - 1}")
     adj: list[set[int]] = [set() for _ in range(vertices)]

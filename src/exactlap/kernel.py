@@ -9,17 +9,18 @@ prefix of the coordinates (see `exactlap.linalg`):
   updated row is divided out, its scale kept for the determinant), so an
   update is an integer cross-multiplication of just the rows that meet
   the pivot column;
-* the pivot is the shortest row in the active column with the fewest
-  nonzeros (minimum degree), ties to the lowest index: trees lose leaves
-  first with no fill-in at all, lattices keep their fill small;
+* the columns are taken in one order, from the right, which is BFS order
+  reversed: a tree or free group loses its leaves first with no fill-in
+  at all, the line its endpoints, and a lattice is swept from its outer
+  shell inward; the pivot is the shortest row in the column, ties to the
+  lowest index;
 * zeros from cancellation are dropped at once, so the stored pattern is
   the exact nonzero pattern and a chosen pivot is never zero; a column
   whose nonzeros run out is a rank loss (zero determinant, free unknown);
-* the columns from some ``k`` on may be taken first, and the first ``k``
-  then from the right: the rows left without a pivot after the first
-  phase constrain the first ``k`` unknowns alone and cut out the image of
-  the solution set there, and each later pivot sits at its row's
-  rightmost column.
+* for every ``k`` at once, the columns from ``k`` on are taken before the
+  first ``k``: the rows left without a pivot by then constrain the first
+  ``k`` unknowns alone and cut out the image of the solution set there,
+  and each later pivot sits at its row's rightmost column.
 
 `_combine` clears one column of a row by a multiple of another, the step
 of the back pass in `exactlap.linalg`.
@@ -88,25 +89,22 @@ class RationalMatrix:
 
 
 def _eliminate(
-    a: RationalMatrix, rhs: Sequence[Fraction] | None = None, first: int = 0
+    a: RationalMatrix, rhs: Sequence[Fraction] | None = None
 ) -> tuple[list[dict[int, int]], list[tuple[int, int]], list[int], list[int]]:
     """Sparse fraction-free elimination of ``a``, augmented by ``rhs``.
 
-    The columns ``first`` and beyond are taken in minimum-degree order,
-    then the columns ``first - 1, ..., 0`` from the right.  When one of
-    those comes up, every row without a pivot holds only columns up to it,
-    so its pivot is its row's rightmost column.  Returns ``(rows, pivots,
-    num, den)``: integer rows with the right-hand side under key
-    ``a.cols``, where row i now stands for ``rows[i] * num[i] / den[i]``;
-    and the ``(row, column)`` pivots in elimination order.  A pivot row
-    keeps only columns pivoted later or never; a row that never pivots
-    keeps its right-hand side at most.
+    The columns are taken from the right, ``a.cols - 1, ..., 0``.  When one
+    comes up, every row without a pivot holds only columns up to it, so its
+    pivot is its row's rightmost unknown.  Returns ``(rows, pivots, num,
+    den)``: integer rows with the right-hand side under key ``a.cols``,
+    where row i now stands for ``rows[i] * num[i] / den[i]``; and the
+    ``(row, column)`` pivots in elimination order.  A pivot row keeps only
+    columns pivoted later or never; a row that never pivots keeps its
+    right-hand side at most.
     """
-    from heapq import heapify, heappop, heappush  # imported here to keep CLI start-up lean
-
     ncols, gcd = a.cols, math.gcd
     rows, num, den = [], [], []
-    col_rows: list = [set() for _ in range(ncols + 1)]  # the last is the right-hand side
+    col_rows: list[set[int]] = [set() for _ in range(ncols + 1)]  # the last is the right-hand side
     for i, r in enumerate(a.sparse_rows):
         if rhs is not None and rhs[i]:
             r = {**r, ncols: Fraction(rhs[i])}
@@ -118,19 +116,9 @@ def _eliminate(
         den.append(scale)
         for j in r:
             col_rows[j].add(i)
-    heap = [(len(col_rows[j]), j) for j in range(first, ncols)]
-    heapify(heap)
-    pivots, low = [], first
-    while heap or low:
-        if heap:
-            count, c = heappop(heap)
-            active = col_rows[c]
-            if active is None or count != len(active):
-                continue  # finished column, or a stale count
-        else:
-            low -= 1
-            c, active = low, col_rows[low]
-        col_rows[c] = None
+    pivots = []
+    for c in range(ncols - 1, -1, -1):
+        active = col_rows[c]
         if not active:
             continue  # rank loss: no row left with a nonzero here
         p = min(active, key=lambda i: (len(rows[i]), i))
@@ -160,9 +148,6 @@ def _eliminate(
                 for j in r:
                     r[j] //= g
                 num[i] *= g
-        for j, _ in rest:
-            if first <= j < ncols:
-                heappush(heap, (len(col_rows[j]), j))
         pivots.append((p, c))
     return rows, pivots, num, den
 

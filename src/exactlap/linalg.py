@@ -2,10 +2,10 @@
 
 Determinants, solves and canonical solution sets go through the one
 sparse elimination kernel of `exactlap.kernel`, whose `RationalMatrix`
-is re-exported here.  `solution_image` uses the kernel's two phases: the
-columns from ``k`` on first, so the rows left without a pivot cut out the
-image of the solution set on the first ``k`` coordinates, then the first
-``k`` from the right.
+is re-exported here.  The kernel takes the columns from the right, so
+for every ``k`` the columns from ``k`` on come first: the rows they leave
+without a pivot cut out the image of the solution set on the first ``k``
+coordinates, and one elimination serves any prefix.
 
 Affine subspaces are kept in a canonical form (reduced-echelon direction
 basis, particular point zeroed on the basis pivot columns) so that two
@@ -13,16 +13,15 @@ subspaces are equal as point sets exactly when their stored fields are
 identical.  Set equality therefore reduces to tuple comparison, which is
 what stabilization detection in the solver relies on.  One back pass,
 `_read_off`, clears each pivot row of the pivot columns taken after it and
-reads the set off the cleared rows: the unique point of `solve_exact`, and
-the canonical form of `solution_image`, whose columns left without a pivot
-are exactly the reduced-echelon pivot columns.  `solve_exact` hands every
-positive-dimensional set to `solution_image` (a system with fewer
-equations than unknowns without a rank pass first), and `AffineSubspace` a
-point plus a spanning set, so `_eliminate` is the only code that
-chooses pivots and `_read_off` the only one that back-reduces.  Likewise
-`AffineSubspace.member` is the only code that reads the canonical form as
-a parametrisation of the set: membership tests and the solver's lift go
-through it.
+reads the set off the cleared rows: the canonical form of
+`solution_image`, whose columns left without a pivot are exactly the
+reduced-echelon pivot columns.  `solve_exact` is `solution_image` on all
+of the coordinates, one elimination for every shape and rank, and
+`AffineSubspace` hands it a point plus a spanning set, so `_eliminate` is
+the only code that chooses pivots and `_read_off` the only one that
+back-reduces.  Likewise `AffineSubspace.member` is the only code that
+reads the canonical form as a parametrisation of the set: membership
+tests and the solver's lift go through it.
 """
 
 from __future__ import annotations
@@ -177,25 +176,13 @@ class AffineSubspace:
 def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     """Full solution set of ``a x = b`` as a canonical affine subspace.
 
-    A system with fewer equations than unknowns always has free columns,
-    so it goes straight to `solution_image` over all of its coordinates.
-    Otherwise minimum-degree elimination of the augmented system decides
-    the rank: a positive-dimensional set goes to `solution_image` too, and
-    `_read_off` gives the unique point or the empty set.
+    It is the image on all of the coordinates, read off one elimination
+    whatever the shape and rank of ``a``: the unique point, the empty set
+    or a positive-dimensional set.
     """
-    if a.rows != len(b):
-        raise DimensionMismatch(
-            f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
-        )
-    n = a.cols
-    if a.rows < n:  # never full rank
-        return solution_image(a, b, n)
-    rows, pivots, _, _ = _eliminate(a, b)
-    if len(pivots) < n:
-        return solution_image(a, b, n)
-    s = _read_off(rows, pivots, n, n)
+    s = solution_image(a, b, a.cols)
     # already canonical; perfbench's tracer counts a point built by the constructor
-    return s if s.is_empty else AffineSubspace.from_point(s.particular)
+    return s if s.is_empty or s.basis else AffineSubspace.from_point(s.particular)
 
 
 def _read_off(rows: list[dict[int, int]], pivots: list[tuple[int, int]], n: int, k: int) -> AffineSubspace:
@@ -205,11 +192,13 @@ def _read_off(rows: list[dict[int, int]], pivots: list[tuple[int, int]], n: int,
     a right-hand side makes the set empty.  Each pivot row below ``k`` is
     cleared of the pivot columns taken after it, latest first, which leaves
     it with its pivot, columns that never pivot, and its right-hand side.
-    When every unknown from ``k`` on was pivoted first and the rest from the
-    right, the columns below ``k`` that never pivot are the reduced-echelon
-    pivot columns of the direction space: the null vector of such a column
-    f involves only f and pivot columns to its right, so it vanishes left
-    of f.  The canonical basis and particular point are then read off.
+    The kernel takes every column from the right, so the unknowns from
+    ``k`` on were pivoted first and the columns below ``k`` that never
+    pivot are the reduced-echelon pivot columns of the direction space: the
+    null vector of such a column f involves only f and pivot columns to
+    its right, so it vanishes left of f.  The canonical basis and
+    particular point are then read off.  With ``k`` equal to ``n``, a
+    unique point is the particular point with an empty basis.
     """
     pivoted = {p for p, _ in pivots}
     if any(r for i, r in enumerate(rows) if i not in pivoted):
@@ -238,12 +227,12 @@ def _read_off(rows: list[dict[int, int]], pivots: list[tuple[int, int]], n: int,
 def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSubspace:
     """Canonical image of the solution set of ``a x = b`` on its first ``k`` coordinates.
 
-    `_eliminate` takes the unknowns from column ``k`` on first, in
-    minimum-degree order.  Each of them is then pivoted (solvable from the
-    others) or free, so the rows left without a pivot, which involve only
-    the first ``k`` unknowns, cut out the image exactly.  It then takes
-    the first ``k`` columns from the right, and `_read_off` writes the
-    canonical form down.
+    `_eliminate` takes the columns from the right, so the unknowns from
+    column ``k`` on come first.  Each of them is then pivoted (solvable
+    from the others) or free, so the rows left without a pivot, which
+    involve only the first ``k`` unknowns, cut out the image exactly.
+    The first ``k`` columns follow, still from the right, and `_read_off`
+    writes the canonical form down.
     """
     if a.rows != len(b):
         raise DimensionMismatch(
@@ -251,7 +240,7 @@ def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSu
         )
     if not 0 <= k <= a.cols:
         raise DimensionMismatch(f"cannot take {k} of {a.cols} coordinates")
-    return _read_off(*_eliminate(a, b, k)[:2], a.cols, k)
+    return _read_off(*_eliminate(a, b)[:2], a.cols, k)
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:

@@ -63,8 +63,10 @@ class GraphOracle:
     def _expand_next(self) -> None:
         """Expand the first unexpanded vertex, within `VERTEX_BUDGET`.
 
-        Its new neighbors are numbered first and recorded only if they fit,
-        so an expansion over budget raises and leaves the oracle as it was.
+        Its new neighbors are numbered first and recorded only once all of
+        them fit.  The numbering stops at the first neighbor over budget, so
+        an expansion over budget reads no further into the neighbor list,
+        raises, and leaves the oracle as it was.
         """
         i = len(self._adj)
         found = len(self._keys)
@@ -74,9 +76,9 @@ class GraphOracle:
             nb = self._ids.get(nb_key)
             if nb is None:
                 nb = new.setdefault(nb_key, found + len(new))
+                if nb >= VERTEX_BUDGET:
+                    raise VertexBudgetExceeded(VERTEX_BUDGET, self.name)
             ids.append(nb)
-        if found + len(new) > VERTEX_BUDGET:
-            raise VertexBudgetExceeded(VERTEX_BUDGET, self.name)
         self._ids.update(new)
         self._keys += new
         self._dist += [self._dist[i] + 1] * len(new)

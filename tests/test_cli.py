@@ -674,6 +674,20 @@ def test_graph_over_the_vertex_budget_exits_5(capsys, tmp_path):
     assert not (tmp_path / "fx").exists()
 
 
+@pytest.mark.parametrize("vertices, code", [(100_001, EXIT_OVER_BUDGET), (100_000, EXIT_INVALID)])
+def test_custom_vertex_count_over_the_budget_exits_5(capsys, tmp_path, vertices, code):
+    """The count is checked before the graph is built; 100,000 vertices are
+    still allowed (and, with no edges, fail the connectivity check)."""
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({"family": "custom", "vertices": vertices, "edges": []}))
+    got, out, err = invoke(capsys, ["--graph", str(spec), "--mode", "certify", "--radius", "0"])
+    assert (got, out) == (code, "")
+    if code == EXIT_OVER_BUDGET:
+        assert err == "over budget: graph 'custom' would discover more than 100000 vertices\n"
+    else:
+        assert err.startswith("invalid input: graph is not connected")
+
+
 def test_help_exits_zero(capsys):
     code = run_cli(["--help"])
     capsys.readouterr()

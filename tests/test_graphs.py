@@ -1,6 +1,7 @@
 """Graph oracles: ball enumeration against closed forms and independent BFS,
 and the read-only Record base of the package's value types."""
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
@@ -238,6 +239,39 @@ def test_one_expansion_over_budget_records_none_of_its_vertices(monkeypatch):
     assert repr(oracle) == "GraphOracle('tree20', discovered=1)"
     monkeypatch.setattr(oracle_module, "VERTEX_BUDGET", 21)
     assert oracle.neighbors(0) == tuple(range(1, 21))
+
+
+def test_an_expansion_stops_reading_neighbors_at_the_budget(monkeypatch):
+    """A vertex with endlessly many neighbors meets the budget, not the end of its list."""
+    budget = 5
+    monkeypatch.setattr(oracle_module, "VERTEX_BUDGET", budget)
+    read = []
+
+    def raw(key):
+        if key:
+            yield 0
+            return
+        for k in itertools.count(1):
+            assert len(read) <= budget, "neighbor list read past the budget"
+            read.append(k)
+            yield k
+
+    oracle = GraphOracle(0, raw)
+    with pytest.raises(VertexBudgetExceeded):
+        oracle.neighbors(0)
+    assert len(read) == budget  # the root and ids 1..4 fit, the fifth neighbor is id 5
+    assert repr(oracle) == "GraphOracle('custom', discovered=1)"
+
+
+def test_custom_vertex_count_is_checked_before_allocation(monkeypatch):
+    edges = [[i, i + 1] for i in range(5)]
+    monkeypatch.setattr(oracle_module, "VERTEX_BUDGET", 6)
+    assert enumerate_ball(custom_oracle(6, edges), 5).size == 6
+    monkeypatch.setattr(oracle_module, "VERTEX_BUDGET", 5)
+    for over in (edges, []):  # connected or not, the count alone is over budget
+        with pytest.raises(VertexBudgetExceeded) as exc:
+            custom_oracle(6, over)
+        assert (exc.value.budget, exc.value.graph) == (5, "custom")
 
 
 # --- validation ------------------------------------------------------------

@@ -216,20 +216,18 @@ def test_images_are_in_canonical_form(case):
 @settings(max_examples=200, deadline=None)
 @given(image_case())
 def test_kernel_pivots_the_prefix_last_from_the_right(case):
-    """Pivots on columns below k come after all others, right to left, each
-    at its row's rightmost column below k; a row left without a pivot keeps
-    its right-hand side at most."""
+    """One elimination takes every column from the right: pivot columns
+    strictly decrease over the whole list, so for every k the columns below
+    k come last, and each pivot sits at its row's rightmost unknown; a row
+    left without a pivot keeps its right-hand side at most."""
     rows, b, _ = case
     a = RationalMatrix(rows)
-    for k in range(a.cols + 1):
-        reduced, pivots, _, _ = _eliminate(a, b, k)
-        low = [(p, c) for p, c in pivots if c < k]
-        assert pivots[len(pivots) - len(low):] == low
-        assert all(c1 > c2 for (_, c1), (_, c2) in zip(low, low[1:]))
-        for p, c in low:
-            assert max(j for j in reduced[p] if j < k) == c
-        pivoted = {p for p, _ in pivots}
-        assert all(set(r) <= {a.cols} for i, r in enumerate(reduced) if i not in pivoted)
+    reduced, pivots, _, _ = _eliminate(a, b)
+    assert all(c1 > c2 for (_, c1), (_, c2) in zip(pivots, pivots[1:]))
+    for p, c in pivots:
+        assert max(j for j in reduced[p] if j < a.cols) == c
+    pivoted = {p for p, _ in pivots}
+    assert all(set(r) <= {a.cols} for i, r in enumerate(reduced) if i not in pivoted)
 
 
 @st.composite
@@ -386,6 +384,25 @@ def test_chain_images_are_in_canonical_form(family, lam_name):
         for level in range(min(m, 2) + 1):
             img = solution_image(rect, b, enumerate_ball(oracle, level + 1).size)
             assert_canonical(img)
+
+
+@pytest.mark.parametrize("rhs", ["none", "delta", "constant"])
+@pytest.mark.parametrize("shape", ["square", "rectangular"])
+@pytest.mark.parametrize("family, radius", [("line", 60), ("tree3", 6), ("free2", 4)])
+def test_trees_eliminate_without_fill(family, radius, shape, rhs):
+    """Taking the columns from the right strips a tree's leaves first, so no
+    row of the operator ever gains an unknown (lattices do fill in).  The
+    right-hand side counts in a row's length, and one that breaks the
+    pivot row's length ties at random can fill a tree too, so the targets
+    here are the determinant's none, the delta and a constant."""
+    oracle = FAMILIES[family]()
+    build = truncated_operator_matrix if shape == "square" else restricted_operator_matrix
+    a = build(oracle, radius, LambdaField.distance())
+    b = {"none": None, "delta": [Fraction(1)] + [Fraction(0)] * (a.rows - 1), "constant": [Fraction(1)] * a.rows}[rhs]
+    reduced, pivots, _, _ = _eliminate(a, b)
+    assert len(pivots) == a.rows
+    for before, after in zip(a.sparse_rows, reduced):
+        assert set(after) - {a.cols} <= set(before)
 
 
 def _widened(run_chain):

@@ -369,8 +369,8 @@ def test_chains_and_solves_never_build_deep_sets(monkeypatch):
     assert solve_on_ball(tree_oracle(3), DELTA, 2, LAM0).residual_ok
 
 
-def test_wide_solution_sets_eliminate_once(monkeypatch):
-    """A system with fewer equations than unknowns goes straight to its image."""
+def _counted_eliminations(monkeypatch):
+    """The argument tuples of every `_eliminate` call from here on."""
     calls = []
     real = linalg_module._eliminate
 
@@ -379,10 +379,27 @@ def test_wide_solution_sets_eliminate_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(linalg_module, "_eliminate", counted)
+    return calls
+
+
+def test_wide_solution_sets_eliminate_once(monkeypatch):
+    """A system with fewer equations than unknowns goes straight to its image."""
+    calls = _counted_eliminations(monkeypatch)
     oracle = grid_oracle(3)
     sol = affine_solution_set(oracle, DELTA, 4, LAM0)
     assert sol.dim == enumerate_ball(oracle, 5).size - enumerate_ball(oracle, 4).size
     assert len(calls) == 1
+
+
+def test_square_solution_sets_eliminate_once(monkeypatch):
+    """A square system is read off one elimination whether it is singular
+    (c5 saturated at radius 2) or of full rank."""
+    calls = _counted_eliminations(monkeypatch)
+    with pytest.raises(SingularSystem):
+        solve_on_ball(cycle_oracle(5), DELTA, 2, LAM0)
+    assert len(calls) == 1
+    assert solve_on_ball(tree_oracle(3), DELTA, 2, LAM0).residual_ok
+    assert len(calls) == 2
 
 
 def _traced_chain(monkeypatch, oracle, target, n, max_m, lam):

@@ -3,10 +3,10 @@
 Most of a CLI call is interpreter start-up, so the package keeps its import
 graph to what it uses.  The probe imports the CLI, then prints the help,
 makes a usage error and runs a ball request: the paths where a flag parser
-would load gettext and locale, and where a solve could load fixtures code.
-It runs without the ``site`` module (``-S``), which may preload some of
-these modules, and still compares against the modules loaded before the
-import rather than an absolute list.
+would load gettext and locale, and where a solve could load fixtures code
+or an elimination heap.  It runs without the ``site`` module (``-S``),
+which may preload some of these modules, and still compares against the
+modules loaded before the import rather than an absolute list.
 """
 
 import json
@@ -20,7 +20,7 @@ import exactlap
 
 GUARDED = (
     "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random",
-    "argparse", "gettext", "locale", "exactlap.fixtures",
+    "argparse", "gettext", "locale", "heapq", "exactlap.fixtures",
 )
 
 PROBE = """
