@@ -688,6 +688,18 @@ def test_custom_vertex_count_over_the_budget_exits_5(capsys, tmp_path, vertices,
         assert err.startswith("invalid input: graph is not connected")
 
 
+def test_custom_connectivity_error_stays_short(capsys, tmp_path):
+    """99,999 unreachable vertices: the message names the first ten and the count."""
+    spec = tmp_path / "g.json"
+    spec.write_text(json.dumps({"family": "custom", "vertices": 100_000, "edges": []}))
+    code, out, err = invoke(capsys, ["--graph", str(spec), "--mode", "certify", "--radius", "0"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == (
+        "invalid input: graph is not connected; 99999 unreachable vertices, "
+        "the first 10 are [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]\n"
+    )
+
+
 def test_help_exits_zero(capsys):
     code = run_cli(["--help"])
     capsys.readouterr()

@@ -378,6 +378,18 @@ def test_custom_names_the_unreachable_vertices(vertices, edges, root, missing):
     assert str(exc.value) == f"graph is not connected; unreachable vertices {missing}"
 
 
+def test_custom_names_ten_unreachable_vertices_and_the_count():
+    path = [[v, v + 1] for v in range(9)]  # 0..9 reachable from 0, 10..21 isolated or in a pair
+    with pytest.raises(GraphSpecError) as exc:
+        custom_oracle(22, path + [[20, 21]])
+    assert str(exc.value) == (
+        "graph is not connected; 12 unreachable vertices, the first 10 are [10, 11, 12, 13, 14, 15, 16, 17, 18, 19]"
+    )
+    with pytest.raises(GraphSpecError) as exc:  # ten are still listed in full
+        custom_oracle(20, path)
+    assert str(exc.value) == f"graph is not connected; unreachable vertices {list(range(10, 20))}"
+
+
 # --- family dispatch -------------------------------------------------------
 
 

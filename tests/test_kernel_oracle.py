@@ -9,10 +9,12 @@ cut to a prefix.  Subspaces built from a point and a spanning set, and
 their images under a map, are compared with the oracle's own reduced row
 echelon form, and the levels of `coherent_solution` with the former pinned
 lift.  Structural checks, with no oracle, assert the canonical form of
-every image itself and the order in which the kernel takes its pivots.
+every image itself, the order in which the kernel takes its pivots, the
+absence of fill on trees and the kernel's traced peak memory.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -386,23 +388,55 @@ def test_chain_images_are_in_canonical_form(family, lam_name):
             assert_canonical(img)
 
 
-@pytest.mark.parametrize("rhs", ["none", "delta", "constant"])
+def _sparse_target(n):
+    rng = random.Random(0)
+    return [Fraction(rng.randint(1, 9)) if rng.random() < 0.4 else Fraction(0) for _ in range(n)]
+
+
+@pytest.mark.parametrize("rhs", ["none", "delta", "constant", "sparse"])
 @pytest.mark.parametrize("shape", ["square", "rectangular"])
 @pytest.mark.parametrize("family, radius", [("line", 60), ("tree3", 6), ("free2", 4)])
 def test_trees_eliminate_without_fill(family, radius, shape, rhs):
     """Taking the columns from the right strips a tree's leaves first, so no
-    row of the operator ever gains an unknown (lattices do fill in).  The
-    right-hand side counts in a row's length, and one that breaks the
-    pivot row's length ties at random can fill a tree too, so the targets
-    here are the determinant's none, the delta and a constant."""
+    row of the operator ever gains an unknown (lattices do fill in).  A pivot
+    row's length counts its unknowns only, so a sparse target cannot break
+    the length ties toward an inner row."""
     oracle = FAMILIES[family]()
     build = truncated_operator_matrix if shape == "square" else restricted_operator_matrix
     a = build(oracle, radius, LambdaField.distance())
-    b = {"none": None, "delta": [Fraction(1)] + [Fraction(0)] * (a.rows - 1), "constant": [Fraction(1)] * a.rows}[rhs]
+    b = {
+        "none": None,
+        "delta": [Fraction(1)] + [Fraction(0)] * (a.rows - 1),
+        "constant": [Fraction(1)] * a.rows,
+        "sparse": _sparse_target(a.rows),
+    }[rhs]
     reduced, pivots, _, _ = _eliminate(a, b)
     assert len(pivots) == a.rows
     for before, after in zip(a.sparse_rows, reduced):
         assert set(after) - {a.cols} <= set(before)
+
+
+@pytest.mark.parametrize(
+    "family, radius, shape, lam_name",
+    [("grid2", 15, "square", "distance"), ("grid3", 5, "square", "zero"), ("grid2", 12, "rectangular", "zero")],
+)
+def test_elimination_peak_stays_near_its_result(family, radius, shape, lam_name):
+    """The kernel's column index lists each row once per nonzero it gains and
+    frees a column's list when the column comes up, so its traced peak stays
+    within 1.5 times what the returned rows and scales hold."""
+    build = truncated_operator_matrix if shape == "square" else restricted_operator_matrix
+    a = build(FAMILIES[family](), radius, LAMBDAS[lam_name]())
+    b = [Fraction(1)] + [Fraction(0)] * (a.rows - 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()  # in case tracing was already on
+        base = tracemalloc.get_traced_memory()[0]
+        result = _eliminate(a, b)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[1]) == a.rows
+    assert peak - base <= 1.5 * (held - base)
 
 
 def _widened(run_chain):
