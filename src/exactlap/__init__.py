@@ -23,11 +23,8 @@ from .errors import (
     VertexBudgetExceeded,
 )
 from .graphs import (
-    Ball,
-    GraphOracle,
     custom_oracle,
     cycle_oracle,
-    enumerate_ball,
     family_oracle,
     free_group_oracle,
     grid_oracle,
@@ -37,12 +34,11 @@ from .graphs import (
     tree_oracle,
     validate_oracle,
 )
+from .kernel import RationalMatrix
 from .linalg import (
     AffineSubspace,
-    RationalMatrix,
     affine_subset,
     determinant,
-    image_under_map,
     solution_image,
     solve_exact,
     subspace_equal,
@@ -53,9 +49,9 @@ from .operators import (
     TargetFunction,
     apply_laplacian,
     restricted_operator_matrix,
-    restriction_matrix,
     truncated_operator_matrix,
 )
+from .oracle import Ball, GraphOracle, enumerate_ball
 from .solver import (
     Certificate,
     ChainState,
@@ -109,14 +105,12 @@ __all__ = [
     "family_oracle",
     "free_group_oracle",
     "grid_oracle",
-    "image_under_map",
     "ladder_oracle",
     "line_oracle",
     "max_principle_certificate",
     "path_oracle",
     "prodiscrete_distance",
     "restricted_operator_matrix",
-    "restriction_matrix",
     "run_chain",
     "solution_image",
     "solve_exact",

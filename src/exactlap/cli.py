@@ -149,9 +149,9 @@ def _metric_report(args, oracle, target, lam, r1: int) -> tuple[dict, int]:
     if r2 < 0:
         usage_error("--max-m must be nonnegative in metric mode")
     depth = min(r1, r2)
-    f = solve_on_ball(oracle, target, r1, lam).solution
-    h = solve_on_ball(oracle, target, r2, lam).solution
-    lower, upper = prodiscrete_distance(f, h, depth)
+    # each distinct radius is solved once, r1 first, so a singular r1 still raises first
+    sols = {r: solve_on_ball(oracle, target, r, lam).solution for r in dict.fromkeys((r1, r2))}
+    lower, upper = prodiscrete_distance(sols[r1], sols[r2], depth)
     report = {
         "radius_a": r1,
         "radius_b": r2,

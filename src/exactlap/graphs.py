@@ -1,9 +1,10 @@
 """Oracle validation and the built-in graph families.
 
-`GraphOracle`, `Ball` and `enumerate_ball` live in `exactlap.oracle`, and
-`Record` in `exactlap.record`; all four are re-exported here.  Each family
-documents its canonical neighbor order, which together with BFS discovery
-fixes all vertex ids.
+`GraphOracle` and `enumerate_ball` live in `exactlap.oracle`; validation
+and the families use them, and the benchmark's tracer finds them here.
+Each family documents its canonical neighbor order, which together with
+BFS discovery fixes all vertex ids.  A family spec names only the fields
+its family reads.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from collections.abc import Sequence
 
 from . import oracle as oracle_module
 from .errors import BadFamilyParameter, GraphSpecError, OracleInconsistent, VertexBudgetExceeded
-from .oracle import Ball, GraphOracle, enumerate_ball
-from .record import Record
+from .oracle import GraphOracle, enumerate_ball
 
 
 def validate_oracle(oracle: GraphOracle, probe_radius: int) -> None:
@@ -220,6 +220,13 @@ def custom_oracle(vertices: int, edges: Sequence[Sequence[int]], root: int = 0) 
     return oracle
 
 
+# the fields each family reads besides "family"; any other key is an error
+_FIELDS = {
+    "line": (), "grid": ("dims",), "tree": ("degree",), "ladder": ("width",), "free_group": ("rank",),
+    "cycle": ("size",), "path": ("size",), "custom": ("vertices", "edges", "root"),
+}
+
+
 def family_oracle(spec: dict) -> GraphOracle:
     """Build an oracle from a JSON-style family description.
 
@@ -232,10 +239,18 @@ def family_oracle(spec: dict) -> GraphOracle:
       {"family": "cycle", "size": k}
       {"family": "path", "size": k}
       {"family": "custom", "vertices": N, "edges": [[i, j], ...], "root": i}
+
+    ``width`` and ``root`` are optional (2 and 0); any other key fails.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise GraphSpecError(f"graph spec must be an object with a 'family' key: {spec!r}")
     family = spec["family"]
+    fields = _FIELDS.get(family) if isinstance(family, str) else None
+    if fields is None:
+        raise GraphSpecError(f"unknown graph family {family!r}")
+    unread = [k for k in spec if k != "family" and k not in fields]
+    if unread:
+        raise GraphSpecError(f"family {family!r} does not read field {unread[0]!r}")
 
     def want_int(field, default=None):
         if field not in spec:
@@ -261,9 +276,7 @@ def family_oracle(spec: dict) -> GraphOracle:
         return cycle_oracle(want_int("size"))
     if family == "path":
         return path_oracle(want_int("size"))
-    if family == "custom":
-        edges = spec.get("edges")
-        if not isinstance(edges, list):
-            raise GraphSpecError("custom graph requires an 'edges' list")
-        return custom_oracle(want_int("vertices"), edges, root=want_int("root", 0))
-    raise GraphSpecError(f"unknown graph family {family!r}")
+    edges = spec.get("edges")  # custom, the one family left
+    if not isinstance(edges, list):
+        raise GraphSpecError("custom graph requires an 'edges' list")
+    return custom_oracle(want_int("vertices"), edges, root=want_int("root", 0))

@@ -1,9 +1,11 @@
 """The sparse elimination kernel over the rationals; no floating point anywhere.
 
 A `RationalMatrix` stores each row as a map from column to nonzero
-`Fraction`.  One elimination kernel, `_eliminate`, serves the determinant,
-the square ball solve, the rectangular solution sets and their images on a
-prefix of the coordinates (see `exactlap.linalg`):
+`Fraction`; `from_rows` is its one constructor, and no dense path is left
+(the dense `entries` view is kept for the benchmark's tracer).  One
+elimination kernel, `_eliminate`, serves the determinant, the square ball
+solve, the rectangular solution sets and their images on a prefix of the
+coordinates (see `exactlap.linalg`):
 
 * rows are scaled to integers once and kept primitive (the gcd of each
   updated row is divided out, its scale kept for the determinant), so an
@@ -48,14 +50,6 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "sparse_rows")
 
-    def __init__(self, entries: Iterable[Iterable]) -> None:
-        entries = [tuple(r) for r in entries]
-        cols = len(entries[0]) if entries else 0
-        if any(len(r) != cols for r in entries):
-            raise DimensionMismatch("ragged rows in matrix")
-        self.rows, self.cols = len(entries), cols
-        self.sparse_rows = tuple({j: x for j, x in enumerate(map(Fraction, r)) if x} for r in entries)
-
     @classmethod
     def from_rows(cls, rows: Iterable[dict[int, Fraction]], cols: int) -> "RationalMatrix":
         """Matrix from row maps whose values are nonzero Fractions (kept, not copied)."""
@@ -66,11 +60,8 @@ class RationalMatrix:
 
     @property
     def entries(self) -> tuple[Vector, ...]:
-        """Dense row tuples, built on demand."""
+        """Dense row tuples, built on demand; only the benchmark's tracer reads them."""
         return tuple(self.row(i) for i in range(self.rows))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.sparse_rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> Vector:
         dense = [_ZERO] * self.cols

@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over the rationals; no floating point anywhere.
 
 Determinants, solves and canonical solution sets go through the one
-sparse elimination kernel of `exactlap.kernel`, whose `RationalMatrix`
-is re-exported here.  The kernel takes the columns from the right, so
+sparse elimination kernel of `exactlap.kernel`, on its sparse
+`RationalMatrix`.  The kernel takes the columns from the right, so
 for every ``k`` the columns from ``k`` on come first: the rows they leave
 without a pivot cut out the image of the solution set on the first ``k``
 coordinates, and one elimination serves any prefix.
@@ -21,7 +21,10 @@ of the coordinates, one elimination for every shape and rank, and
 the only code that chooses pivots and `_read_off` the only one that
 back-reduces.  Likewise `AffineSubspace.member` is the only code that
 reads the canonical form as a parametrisation of the set: membership
-tests and the solver's lift go through it.
+tests, the subset test and the solver's lift go through it.
+`image_under_map` and the `AffineSubspace.from_point` wrap in
+`solve_exact` are kept for the benchmark's tracer only; nothing in the
+package calls the former.
 """
 
 from __future__ import annotations
@@ -118,11 +121,6 @@ class AffineSubspace:
     def from_point(cls, point: Sequence[Fraction]) -> "AffineSubspace":
         return cls(len(point), point)
 
-    @classmethod
-    def full(cls, ambient_dim: int) -> "AffineSubspace":
-        basis = tuple(tuple(_ONE if j == i else _ZERO for j in range(ambient_dim)) for i in range(ambient_dim))
-        return cls._canonical(ambient_dim, (_ZERO,) * ambient_dim, basis, tuple(range(ambient_dim)))
-
     @property
     def dim(self) -> int | None:
         """Affine dimension, or None for the empty set."""
@@ -147,12 +145,6 @@ class AffineSubspace:
             raise DimensionMismatch("membership test with wrong vector length")
         point = tuple(point)
         return not self.is_empty and self.member(point) == point
-
-    def contains_direction(self, vector: Sequence[Fraction]) -> bool:
-        """Whether a vector lies in the direction space of this subspace."""
-        if len(vector) != self.ambient_dim:
-            raise DimensionMismatch("direction test with wrong vector length")
-        return not self.is_empty and self.contains([p + x for p, x in zip(self.particular, vector)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineSubspace):
@@ -244,7 +236,11 @@ def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSu
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:
-    """Image of an affine subspace under a linear map, re-canonicalized."""
+    """Image of an affine subspace under a linear map, re-canonicalized.
+
+    Kept for the benchmark's tracer, which binds this name; the package's
+    images come from `solution_image`.
+    """
     if m.cols != s.ambient_dim:
         raise DimensionMismatch(
             f"map expects dimension {m.cols}, subspace lives in {s.ambient_dim}"
@@ -279,4 +275,5 @@ def affine_subset(inner: AffineSubspace, outer: AffineSubspace) -> bool:
         return False
     if not outer.contains(inner.particular):
         return False
-    return all(outer.contains_direction(v) for v in inner.basis)
+    # with the point inside, v is a direction of outer exactly when point + v is a member
+    return all(outer.contains([p + x for p, x in zip(inner.particular, v)]) for v in inner.basis)

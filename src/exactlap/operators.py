@@ -41,9 +41,6 @@ class BallFunction(Record):
                 f"{len(self.values)} values for a ball of {self.ball.size} vertices"
             )
 
-    def value(self, v: int) -> Fraction:
-        return self.values[v]
-
     def restrict(self, smaller: Ball) -> "BallFunction":
         """Restriction to a smaller ball is literally a prefix of the values."""
         if smaller.radius > self.ball.radius:
@@ -206,7 +203,11 @@ def restricted_operator_matrix(oracle: GraphOracle, n: int, lam: LambdaField) ->
 
 
 def restriction_matrix(small: Ball, large: Ball) -> RationalMatrix:
-    """0/1 projection selecting the smaller ball's prefix of the larger ball."""
+    """0/1 projection selecting the smaller ball's prefix of the larger ball.
+
+    Kept for the benchmark's tracer, which binds this name; the solver cuts
+    prefixes off its images directly.
+    """
     if small.radius > large.radius:
         raise BadRadii(f"restriction needs radius {small.radius} <= {large.radius}")
     if small.oracle is not large.oracle:

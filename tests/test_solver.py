@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import full_space
 from exactlap.errors import (
     BadRadii,
     ChainViolation,
@@ -448,7 +449,7 @@ def test_a_changed_image_that_does_not_shrink_is_a_violation(change, monkeypatch
         if len(seen) < 2:
             return img
         if change == "full":
-            return AffineSubspace.full(k)
+            return full_space(k)
         return AffineSubspace(k, (img.particular[0] + 1,) + img.particular[1:], img.basis)
 
     monkeypatch.setattr(solver_module, "solution_image", changed)
