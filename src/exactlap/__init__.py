@@ -22,49 +22,25 @@ from .errors import (
     SpecFormatError,
     VertexBudgetExceeded,
 )
-from .graphs import (
-    custom_oracle,
-    cycle_oracle,
-    family_oracle,
-    free_group_oracle,
-    grid_oracle,
-    ladder_oracle,
-    line_oracle,
-    path_oracle,
-    tree_oracle,
-    validate_oracle,
-)
-from .kernel import RationalMatrix
-from .linalg import (
-    AffineSubspace,
-    affine_subset,
-    determinant,
-    solution_image,
-    solve_exact,
-    subspace_equal,
-)
-from .operators import (
-    BallFunction,
-    LambdaField,
-    TargetFunction,
-    apply_laplacian,
-    restricted_operator_matrix,
-    truncated_operator_matrix,
-)
-from .oracle import Ball, GraphOracle, enumerate_ball
-from .solver import (
+from .chain import ChainState, run_chain
+from .direct import (
     Certificate,
-    ChainState,
-    CoherentResult,
     SolveReport,
     affine_solution_set,
-    coherent_solution,
     max_principle_certificate,
     prodiscrete_distance,
-    run_chain,
     solve_on_ball,
-    universal_element,
 )
+from .families import free_group_oracle, grid_oracle, ladder_oracle, line_oracle, tree_oracle
+from .finite import custom_oracle, cycle_oracle, path_oracle
+from .functions import BallFunction, TargetFunction
+from .graphs import family_oracle, validate_oracle
+from .linalg import affine_subset, determinant, solution_image, solve_exact, subspace_equal
+from .matrix import RationalMatrix
+from .operators import LambdaField, apply_laplacian, restricted_operator_matrix, truncated_operator_matrix
+from .oracle import Ball, GraphOracle, enumerate_ball
+from .solver import CoherentResult, coherent_solution, universal_element
+from .subspace import AffineSubspace
 
 __version__ = "0.1.0"
 

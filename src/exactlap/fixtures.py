@@ -12,16 +12,13 @@ from fractions import Fraction
 
 from .errors import SingularSystem, SpecFormatError
 from .flags import EXIT_OK, usage_error
-from .graphs import enumerate_ball, family_oracle
+from .direct import solve_on_ball
+from .graphs import family_oracle
 from .operators import LambdaField
-from .serialize import (
-    dump_report,
-    format_fraction,
-    graph_spec_from_text,
-    solution_to_json,
-    target_from_json,
-)
-from .solver import solve_on_ball
+from .oracle import enumerate_ball
+from .serialize import target_from_json
+from .specs import graph_spec_from_text
+from .wire import dump_report, format_fraction, solution_to_json
 
 DEFAULT_FIXTURE_FAMILIES = "z,z2,tree3,ladder2,c5"
 

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 EXIT_OK = 0
 EXIT_USAGE = 64
 
-# --mode choices: the report builders of exactlap.cli, in their order, then fixtures
+# --mode choices: the report builders of exactlap.reports, in their order, then fixtures
 MODES = ("ball", "certify", "chain", "coherent", "metric", "fixtures")
 
 SCHEMA_HELP = """\

@@ -1,10 +1,8 @@
 """The sparse elimination kernel over the rationals; no floating point anywhere.
 
-A `RationalMatrix` stores each row as a map from column to nonzero
-`Fraction`; `from_rows` is its one constructor, and no dense path is left
-(the dense `entries` view is kept for the benchmark's tracer).  One
-elimination kernel, `_eliminate`, serves the determinant, the square ball
-solve, the rectangular solution sets and their images on a prefix of the
+One elimination kernel, `_eliminate`, reduces the sparse `RationalMatrix`
+of `exactlap.matrix`.  It serves the determinant, the square ball solve,
+the rectangular solution sets and their images on a prefix of the
 coordinates (see `exactlap.linalg`):
 
 * rows are scaled to integers once and kept primitive (the gcd of each
@@ -28,59 +26,17 @@ coordinates (see `exactlap.linalg`):
   ``k`` unknowns alone and cut out the image of the solution set there,
   and each later pivot sits at its row's rightmost column.
 
-`_combine` clears one column of a row by a multiple of another, the step
-of the back pass in `exactlap.linalg`.
+The back pass that reads a canonical set off the result is in
+`exactlap.readoff`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import DimensionMismatch
-
-Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-
-
-class RationalMatrix:
-    """Immutable sparse matrix: ``sparse_rows[i]`` maps column -> nonzero Fraction."""
-
-    __slots__ = ("rows", "cols", "sparse_rows")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[dict[int, Fraction]], cols: int) -> "RationalMatrix":
-        """Matrix from row maps whose values are nonzero Fractions (kept, not copied)."""
-        m = cls.__new__(cls)
-        m.sparse_rows = tuple(rows)
-        m.rows, m.cols = len(m.sparse_rows), cols
-        return m
-
-    @property
-    def entries(self) -> tuple[Vector, ...]:
-        """Dense row tuples, built on demand; only the benchmark's tracer reads them."""
-        return tuple(self.row(i) for i in range(self.rows))
-
-    def row(self, i: int) -> Vector:
-        dense = [_ZERO] * self.cols
-        for j, x in self.sparse_rows[i].items():
-            dense[j] = x
-        return tuple(dense)
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionMismatch(
-                f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}"
-            )
-        return tuple(sum((x * v[j] for j, x in r.items()), _ZERO) for r in self.sparse_rows)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalMatrix) and (self.cols, self.sparse_rows) == (other.cols, other.sparse_rows)
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.rows}x{self.cols})"
+from .matrix import RationalMatrix
 
 
 def _eliminate(
@@ -150,19 +106,3 @@ def _eliminate(
                 num[i] *= g
         pivots.append((p, c))
     return rows, pivots, num, den
-
-
-def _combine(r: dict[int, int], q: dict[int, int], c: int) -> dict[int, int]:
-    """Row ``r`` with column ``c`` cleared by a multiple of ``q``, as a primitive integer row."""
-    g = math.gcd(q[c], r[c])
-    s, t = q[c] // g, r[c] // g
-    out = {j: s * x for j, x in r.items() if j != c}
-    for j, x in q.items():
-        if j != c:
-            y = out.get(j, 0) - t * x
-            if y:
-                out[j] = y
-            else:
-                out.pop(j, None)
-    g = math.gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out

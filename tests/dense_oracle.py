@@ -29,8 +29,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from exactlap.kernel import RationalMatrix
-from exactlap.linalg import AffineSubspace
+from exactlap.matrix import RationalMatrix
+from exactlap.subspace import AffineSubspace
 
 
 def dense_matrix(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix:

@@ -12,31 +12,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from exactlap.cli import (
-    EXIT_ANOMALY,
-    EXIT_INVALID,
-    EXIT_OK,
-    EXIT_OVER_BUDGET,
-    EXIT_USAGE,
-    EXIT_WINDOW_EXCEEDED,
-    run_cli,
-)
+from exactlap.chain import ChainState
+from exactlap.cli import EXIT_ANOMALY, EXIT_INVALID, EXIT_OK, EXIT_OVER_BUDGET, EXIT_USAGE, run_cli
+from exactlap.direct import Certificate, solve_on_ball
 from exactlap.errors import SingularSystem, SpecFormatError
 from exactlap.flags import MODES, SCHEMA_HELP
+from exactlap.functions import TargetFunction
 from exactlap.graphs import enumerate_ball, grid_oracle
 from exactlap.linalg import AffineSubspace
-from exactlap.operators import LambdaField, TargetFunction
-from exactlap.serialize import (
-    ball_function_from_json,
-    format_fraction,
-    graph_spec_from_text,
-    lambda_from_json,
-    parse_fraction,
-    target_from_json,
-)
-from exactlap.solver import Certificate, ChainState, solve_on_ball
+from exactlap.operators import LambdaField
+from exactlap.reports import EXIT_WINDOW_EXCEEDED
+from exactlap.serialize import lambda_from_json, target_from_json
+from exactlap.specs import graph_spec_from_text
+from exactlap.wire import ball_function_from_json, format_fraction, parse_fraction
 
+import exactlap.chain as chain_module
 import exactlap.cli as cli_module
+import exactlap.reports as reports_module
 import exactlap.solver as solver_module
 
 
@@ -162,7 +154,7 @@ def test_unexpected_singular_is_an_anomaly(capsys, monkeypatch, tmp_path):
     def explode(*args, **kwargs):
         raise SingularSystem("forced", radius=1, boundary_saturated=False)
 
-    monkeypatch.setattr(cli_module, "solve_on_ball", explode)
+    monkeypatch.setattr(reports_module, "solve_on_ball", explode)
     out_file = tmp_path / "report.json"
     code, out, err = invoke(
         capsys,
@@ -189,7 +181,7 @@ def test_certify_mode_reports_exact_determinant(capsys):
 
 def test_certify_failure_is_an_anomaly(capsys, monkeypatch):
     bad = Certificate(radius=1, strict_inclusion=True, determinant=Fraction(0), passes=False)
-    monkeypatch.setattr(cli_module, "max_principle_certificate", lambda *a, **k: bad)
+    monkeypatch.setattr(reports_module, "max_principle_certificate", lambda *a, **k: bad)
     code, out, _ = invoke(capsys, ["--graph", "z", "--mode", "certify", "--radius", "1"])
     assert code == EXIT_ANOMALY
     assert json.loads(out)["status"] == "anomaly"
@@ -214,14 +206,14 @@ def test_chain_mode_reports_stabilization(capsys):
 def test_chain_residual_recheck_rejects_a_corrupted_image(capsys, monkeypatch):
     """Every image shifted by the root's indicator still nests and stabilizes,
     but no point of it solves the target at the root, so the re-check fails."""
-    real = solver_module.solution_image
+    real = chain_module.solution_image
 
     def shifted(a, b, k):
         img = real(a, b, k)
         point = (img.particular[0] + 1,) + img.particular[1:]
         return AffineSubspace(k, point, img.basis)
 
-    monkeypatch.setattr(solver_module, "solution_image", shifted)
+    monkeypatch.setattr(chain_module, "solution_image", shifted)
     code, out, err = invoke(
         capsys,
         ["--graph", "z", "--mode", "chain", "--radius", "1", "--max-m", "6"],
@@ -395,13 +387,13 @@ def _metric_report_text(radius_b, bounds):
 def test_metric_solves_each_distinct_radius_once(capsys, monkeypatch, extra, radii, expected):
     """One solve when both radii agree, one per radius otherwise; the report
     bytes are the ones two solves gave."""
-    real, seen = cli_module.solve_on_ball, []
+    real, seen = reports_module.solve_on_ball, []
 
     def counting(oracle, target, n, lam):
         seen.append(n)
         return real(oracle, target, n, lam)
 
-    monkeypatch.setattr(cli_module, "solve_on_ball", counting)
+    monkeypatch.setattr(reports_module, "solve_on_ball", counting)
     code, out, _ = invoke(capsys, TREE_METRIC + ["--radius", "2"] + extra)
     assert (code, seen) == (EXIT_OK, radii)
     assert out == expected
@@ -773,7 +765,7 @@ HELP_TEXT = (Path(__file__).with_name("cli_help.txt")).read_text(encoding="utf-8
 
 
 def test_mode_choices_are_the_report_builders_then_fixtures():
-    assert MODES == (*cli_module._REPORTS, "fixtures")
+    assert MODES == (*reports_module._REPORTS, "fixtures")
 
 
 @pytest.mark.parametrize(
@@ -952,6 +944,8 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solution"]["0"] == "2"
+    # runpy warns here when a package module has imported exactlap.cli before it runs
+    assert proc.stderr == ""
 
 
 def test_custom_graph_end_to_end(capsys, tmp_path):

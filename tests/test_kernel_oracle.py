@@ -30,7 +30,9 @@ from dense_oracle import (
     dense_solve,
     pinned_lift,
 )
+from exactlap.chain import ChainState
 from exactlap.errors import DimensionMismatch
+from exactlap.functions import TargetFunction
 from exactlap.graphs import (
     custom_oracle,
     cycle_oracle,
@@ -42,9 +44,9 @@ from exactlap.graphs import (
     path_oracle,
     tree_oracle,
 )
+from exactlap.kernel import _eliminate
 from exactlap.linalg import (
     AffineSubspace,
-    _eliminate,
     affine_subset,
     determinant,
     image_under_map,
@@ -53,12 +55,11 @@ from exactlap.linalg import (
 )
 from exactlap.operators import (
     LambdaField,
-    TargetFunction,
     restricted_operator_matrix,
     restriction_matrix,
     truncated_operator_matrix,
 )
-from exactlap.solver import ChainState, coherent_solution
+from exactlap.solver import coherent_solution
 
 import exactlap.solver as solver_module
 

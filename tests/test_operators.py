@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dense_oracle import dense_matrix
 from exactlap.errors import BadRadii, DimensionMismatch, InsufficientDomain
+from exactlap.functions import TargetFunction
 from exactlap.graphs import (
     cycle_oracle,
     enumerate_ball,
@@ -20,7 +21,6 @@ from exactlap.graphs import (
 from exactlap.operators import (
     BallFunction,
     LambdaField,
-    TargetFunction,
     apply_laplacian,
     restricted_operator_matrix,
     restriction_matrix,

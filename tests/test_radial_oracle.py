@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import pytest
 
+from exactlap.direct import solve_on_ball
+from exactlap.functions import TargetFunction
 from exactlap.graphs import free_group_oracle, line_oracle, tree_oracle
-from exactlap.operators import LambdaField, TargetFunction
-from exactlap.solver import solve_on_ball
+from exactlap.operators import LambdaField
 
 
 def radial_ball_solution(degree, n, g, lam):

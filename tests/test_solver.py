@@ -8,6 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import full_space
+from exactlap.chain import run_chain
+from exactlap.direct import (
+    affine_solution_set,
+    max_principle_certificate,
+    prodiscrete_distance,
+    solve_on_ball,
+)
 from exactlap.errors import (
     BadRadii,
     ChainViolation,
@@ -17,6 +24,7 @@ from exactlap.errors import (
     NotStabilized,
     SingularSystem,
 )
+from exactlap.functions import TargetFunction
 from exactlap.graphs import (
     GraphOracle,
     custom_oracle,
@@ -30,25 +38,19 @@ from exactlap.graphs import (
     tree_oracle,
 )
 from exactlap.linalg import AffineSubspace, solution_image
+from exactlap.matrix import RationalMatrix
 from exactlap.operators import (
     BallFunction,
     LambdaField,
-    TargetFunction,
     apply_laplacian,
     restricted_operator_matrix,
     truncated_operator_matrix,
 )
 from exactlap.serialize import lambda_from_text, target_from_text
-from exactlap.solver import (
-    affine_solution_set,
-    coherent_solution,
-    max_principle_certificate,
-    prodiscrete_distance,
-    run_chain,
-    solve_on_ball,
-    universal_element,
-)
+from exactlap.solver import coherent_solution, universal_element
 
+import exactlap.chain as chain_module
+import exactlap.direct as direct_module
 import exactlap.linalg as linalg_module
 import exactlap.operators as operators_module
 import exactlap.solver as solver_module
@@ -357,13 +359,14 @@ def test_chains_and_solves_never_build_deep_sets(monkeypatch):
         raise AssertionError("deep-set route called")
 
     assert not hasattr(linalg_module, "_rref_rows")
+    assert "__init__" not in vars(RationalMatrix)  # no dense constructor: from_rows builds every matrix
     monkeypatch.setattr(linalg_module, "image_under_map", forbidden)
     monkeypatch.setattr(operators_module, "restriction_matrix", forbidden)
-    assert not hasattr(solver_module, "image_under_map")
-    assert not hasattr(solver_module, "restriction_matrix")
+    for module in (chain_module, solver_module):  # the chain and the coherent lift
+        for name in ("image_under_map", "restriction_matrix", "solve_exact"):
+            assert not hasattr(module, name), (module.__name__, name)
     with monkeypatch.context() as m:
-        m.setattr(solver_module, "solve_exact", forbidden)
-        m.setattr(linalg_module.RationalMatrix, "__init__", forbidden)
+        m.setattr(direct_module, "solve_exact", forbidden)
         run_chain(grid_oracle(2), DELTA, 1, 6, 3, LambdaField.distance())
         coherent_solution(tree_oracle(3), DELTA, 2, 8, 3, LAM0)
     assert affine_solution_set(grid_oracle(2), DELTA, 2, LAM0).dim == 25 - 13
@@ -406,8 +409,8 @@ def test_square_solution_sets_eliminate_once(monkeypatch):
 def _traced_chain(monkeypatch, oracle, target, n, max_m, lam):
     """``run_chain`` with the depth of every image that reaches the nesting test."""
     depths, tested = [], []
-    real_image = solver_module.solution_image
-    real_subset = solver_module.affine_subset
+    real_image = chain_module.solution_image
+    real_subset = chain_module.affine_subset
 
     def image(a, b, k):
         depths.append(n + len(depths))
@@ -417,8 +420,8 @@ def _traced_chain(monkeypatch, oracle, target, n, max_m, lam):
         tested.append(depths[-1])
         return real_subset(inner, outer)
 
-    monkeypatch.setattr(solver_module, "solution_image", image)
-    monkeypatch.setattr(solver_module, "affine_subset", subset)
+    monkeypatch.setattr(chain_module, "solution_image", image)
+    monkeypatch.setattr(chain_module, "affine_subset", subset)
     return run_chain(oracle, target, n, max_m, 3, lam), tested
 
 
@@ -440,7 +443,7 @@ def test_only_a_changed_chain_image_is_tested_for_nesting(monkeypatch):
 @pytest.mark.parametrize("change", ["shifted", "full"])
 def test_a_changed_image_that_does_not_shrink_is_a_violation(change, monkeypatch):
     """Even when the nesting test passes, a changed image must lose dimension."""
-    real = solver_module.solution_image
+    real = chain_module.solution_image
     seen = []
 
     def changed(a, b, k):
@@ -452,8 +455,8 @@ def test_a_changed_image_that_does_not_shrink_is_a_violation(change, monkeypatch
             return full_space(k)
         return AffineSubspace(k, (img.particular[0] + 1,) + img.particular[1:], img.basis)
 
-    monkeypatch.setattr(solver_module, "solution_image", changed)
-    monkeypatch.setattr(solver_module, "affine_subset", lambda inner, outer: True)
+    monkeypatch.setattr(chain_module, "solution_image", changed)
+    monkeypatch.setattr(chain_module, "affine_subset", lambda inner, outer: True)
     with pytest.raises(ChainViolation):
         run_chain(line_oracle(), DELTA, 1, 6, 3, LAM0)
 
