@@ -35,12 +35,12 @@ from .families import free_group_oracle, grid_oracle, ladder_oracle, line_oracle
 from .finite import custom_oracle, cycle_oracle, path_oracle
 from .functions import BallFunction, TargetFunction
 from .graphs import family_oracle, validate_oracle
-from .linalg import affine_subset, determinant, solution_image, solve_exact, subspace_equal
+from .linalg import affine_subset, determinant, solve_exact, subspace_equal
 from .matrix import RationalMatrix
 from .operators import LambdaField, apply_laplacian, restricted_operator_matrix, truncated_operator_matrix
 from .oracle import Ball, GraphOracle, enumerate_ball
 from .solver import CoherentResult, coherent_solution, universal_element
-from .subspace import AffineSubspace
+from .subspace import AffineSubspace, solution_image
 
 __version__ = "0.1.0"
 

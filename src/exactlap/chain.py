@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from .errors import BadRadii, ChainViolation, NotStabilized
 from .functions import BallFunction, TargetFunction
-from .linalg import affine_subset, solution_image, subspace_equal
+from .linalg import affine_subset, subspace_equal
 from .operators import LambdaField, apply_laplacian, restricted_operator_matrix
 from .oracle import Ball, GraphOracle, enumerate_ball
 from .record import Record
-from .subspace import AffineSubspace
+from .subspace import AffineSubspace, solution_image
 
 
 def _dim_rank(s: AffineSubspace) -> int:

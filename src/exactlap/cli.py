@@ -41,15 +41,21 @@ from .errors import (
     VertexBudgetExceeded,
 )
 from .direct import solve_on_ball  # kept for the benchmark's self-test
-from .flags import EXIT_OK, EXIT_USAGE, parse_flags, usage_error
+from .flags import (  # all six exit codes stay importable from here
+    EXIT_ANOMALY,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_OVER_BUDGET,
+    EXIT_USAGE,
+    EXIT_WINDOW_EXCEEDED,
+    parse_flags,
+    usage_error,
+)
 from .graphs import validate_oracle
-from .reports import _REPORTS, EXIT_ANOMALY
+from .reports import _REPORTS
 from .serialize import lambda_from_text, target_from_text
 from .specs import graph_from_text
 from .wire import describe_lambda, dump_report
-
-EXIT_INVALID = 3
-EXIT_OVER_BUDGET = 5
 
 
 def run_cli(argv: list[str] | None = None) -> int:

@@ -12,7 +12,12 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
+# the exit codes of the command line, documented in exactlap.cli
 EXIT_OK = 0
+EXIT_ANOMALY = 2
+EXIT_INVALID = 3
+EXIT_WINDOW_EXCEEDED = 4
+EXIT_OVER_BUDGET = 5
 EXIT_USAGE = 64
 
 # --mode choices: the report builders of exactlap.reports, in their order, then fixtures

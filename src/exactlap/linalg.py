@@ -7,17 +7,16 @@ the right, so for every ``k`` the columns from ``k`` on come first: the
 rows they leave without a pivot cut out the image of the solution set on
 the first ``k`` coordinates, and one elimination serves any prefix.
 
-Sets are returned as an `AffineSubspace` (`exactlap.subspace`), whose
-canonical form makes set equality a tuple comparison.  One back pass,
-`_read_off` (`exactlap.readoff`), clears each pivot row of the pivot
-columns taken after it and reads the set off the cleared rows: the
-canonical form of `solution_image`, whose columns left without a pivot
-are exactly the reduced-echelon pivot columns.  `solve_exact` is
+Sets are returned as an `AffineSubspace`, whose canonical form makes set
+equality a tuple comparison; `solution_image` (both in
+`exactlap.subspace`) reads one off an elimination through the one back
+pass, `_read_off` (`exactlap.readoff`), whose columns left without a
+pivot are exactly the reduced-echelon pivot columns.  `solve_exact` is
 `solution_image` on all of the coordinates, one elimination for every
 shape and rank, and `AffineSubspace` reads a point plus a spanning set
-off the same pair, so `_eliminate` is the only code that chooses pivots
-and `_read_off` the only one that back-reduces.  `image_under_map` and the
-`AffineSubspace.from_point` wrap in `solve_exact` are kept for the
+off `solution_image` too, so `_eliminate` is the only code that chooses
+pivots and `_read_off` the only one that back-reduces.  `image_under_map`
+and the `AffineSubspace.from_point` wrap in `solve_exact` are kept for the
 benchmark's tracer only; nothing in the package calls the former.
 """
 
@@ -29,8 +28,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch
 from .kernel import _eliminate
 from .matrix import RationalMatrix
-from .readoff import _read_off
-from .subspace import AffineSubspace
+from .subspace import AffineSubspace, solution_image
 
 
 def determinant(a: RationalMatrix) -> Fraction:
@@ -62,26 +60,6 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     s = solution_image(a, b, a.cols)
     # already canonical; perfbench's tracer counts a point built by the constructor
     return s if s.is_empty or s.basis else AffineSubspace.from_point(s.particular)
-
-
-def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSubspace:
-    """Canonical image of the solution set of ``a x = b`` on its first ``k`` coordinates.
-
-    `_eliminate` takes the columns from the right, so the unknowns from
-    column ``k`` on come first.  Each of them is then pivoted (solvable
-    from the others) or free, so the rows left without a pivot, which
-    involve only the first ``k`` unknowns, cut out the image exactly.
-    The first ``k`` columns follow, still from the right, and `_read_off`
-    writes the canonical form down.
-    """
-    if a.rows != len(b):
-        raise DimensionMismatch(
-            f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
-        )
-    if not 0 <= k <= a.cols:
-        raise DimensionMismatch(f"cannot take {k} of {a.cols} coordinates")
-    fields = _read_off(*_eliminate(a, b)[:2], a.cols, k)
-    return AffineSubspace.empty(k) if fields is None else AffineSubspace._canonical(k, *fields)
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:

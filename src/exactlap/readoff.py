@@ -2,8 +2,8 @@
 
 `_combine` clears one column of a row by a multiple of another, and
 `_read_off` uses it to clear each pivot row of the pivot columns taken
-after it.  `exactlap.linalg` and `exactlap.subspace` wrap what it reads
-off in an `AffineSubspace`.
+after it.  `exactlap.subspace.solution_image` wraps what it reads off in
+an `AffineSubspace`.
 """
 
 from __future__ import annotations

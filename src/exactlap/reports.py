@@ -13,12 +13,9 @@ from __future__ import annotations
 from .chain import run_chain
 from .direct import max_principle_certificate, prodiscrete_distance, solve_on_ball
 from .errors import EmptyUniversalSet, NotStabilized
-from .flags import EXIT_OK, usage_error
+from .flags import EXIT_ANOMALY, EXIT_OK, EXIT_WINDOW_EXCEEDED, usage_error
 from .solver import coherent_solution, universal_element
 from .wire import format_fraction, solution_to_json
-
-EXIT_ANOMALY = 2
-EXIT_WINDOW_EXCEEDED = 4
 
 
 def _depth_budget(args, n: int) -> int:

@@ -4,12 +4,15 @@ The direction space is kept as its reduced row echelon basis, and the
 particular point is zeroed on the basis pivot columns, so that two
 subspaces are equal as point sets exactly when their stored fields are
 identical.  Set equality therefore reduces to tuple comparison, which is
-what stabilization detection in the solver relies on.  A point plus a
-spanning set is put in this form by the one elimination kernel and the
-one back pass (`exactlap.kernel`, `exactlap.readoff`), as any solution
-image is in `exactlap.linalg`.  `AffineSubspace.member` is the only code
-that reads the canonical form as a parametrisation of the set:
-membership tests, the subset test and the solver's lift go through it.
+what stabilization detection in the solver relies on.
+
+`solution_image` is the one code that reads a set off an elimination: it
+runs the one elimination kernel (`exactlap.kernel`) and the one back pass
+(`exactlap.readoff`) and wraps what they cut out.  A point plus a
+spanning set is put in canonical form as such an image.
+`AffineSubspace.member` is the only code that reads the canonical form as
+a parametrisation of the set: membership tests, the subset test and the
+solver's lift go through it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ class AffineSubspace:
     vanish on the basis pivot columns.  Both are derived from the point set
     alone, so equal sets always produce field-identical objects.  A point
     p and spanning set V are put in this form as the image on x of the
-    solutions (x, t) of x - V^T t = p, read off one elimination the way
-    `solution_image` reads any image.  The empty set is representable.
+    solutions (x, t) of x - V^T t = p, by `solution_image`.  The empty set
+    is representable.
     """
 
     __slots__ = ("ambient_dim", "particular", "basis", "pivot_cols", "is_empty")
@@ -66,8 +69,8 @@ class AffineSubspace:
                 ambient_dim + len(span),
             )
             # every row has its own pivot x_i, so the image is never empty
-            rows, pivots = _eliminate(system, point)[:2]
-            self.particular, self.basis, self.pivot_cols = _read_off(rows, pivots, system.cols, ambient_dim)
+            image = solution_image(system, point, ambient_dim)
+            self.particular, self.basis, self.pivot_cols = image.particular, image.basis, image.pivot_cols
 
     @classmethod
     def _canonical(
@@ -131,3 +134,23 @@ class AffineSubspace:
         if self.is_empty:
             return f"AffineSubspace(empty in Q^{self.ambient_dim})"
         return f"AffineSubspace(dim {len(self.basis)} in Q^{self.ambient_dim})"
+
+
+def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSubspace:
+    """Canonical image of the solution set of ``a x = b`` on its first ``k`` coordinates.
+
+    `_eliminate` takes the columns from the right, so the unknowns from
+    column ``k`` on come first.  Each of them is then pivoted (solvable
+    from the others) or free, so the rows left without a pivot, which
+    involve only the first ``k`` unknowns, cut out the image exactly.
+    The first ``k`` columns follow, still from the right, and `_read_off`
+    writes the canonical form down.
+    """
+    if a.rows != len(b):
+        raise DimensionMismatch(
+            f"matrix has {a.rows} rows but right-hand side has length {len(b)}"
+        )
+    if not 0 <= k <= a.cols:
+        raise DimensionMismatch(f"cannot take {k} of {a.cols} coordinates")
+    fields = _read_off(*_eliminate(a, b)[:2], a.cols, k)
+    return AffineSubspace.empty(k) if fields is None else AffineSubspace._canonical(k, *fields)

@@ -13,7 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from exactlap.chain import ChainState
-from exactlap.cli import EXIT_ANOMALY, EXIT_INVALID, EXIT_OK, EXIT_OVER_BUDGET, EXIT_USAGE, run_cli
+from exactlap.cli import (
+    EXIT_ANOMALY,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_OVER_BUDGET,
+    EXIT_USAGE,
+    EXIT_WINDOW_EXCEEDED,
+    run_cli,
+)
 from exactlap.direct import Certificate, solve_on_ball
 from exactlap.errors import SingularSystem, SpecFormatError
 from exactlap.flags import MODES, SCHEMA_HELP
@@ -21,7 +29,6 @@ from exactlap.functions import TargetFunction
 from exactlap.graphs import enumerate_ball, grid_oracle
 from exactlap.linalg import AffineSubspace
 from exactlap.operators import LambdaField
-from exactlap.reports import EXIT_WINDOW_EXCEEDED
 from exactlap.serialize import lambda_from_json, target_from_json
 from exactlap.specs import graph_spec_from_text
 from exactlap.wire import ball_function_from_json, format_fraction, parse_fraction

@@ -1,5 +1,7 @@
 """Both solution constructions, checked against naive in-test oracles."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -49,8 +51,10 @@ from exactlap.operators import (
 from exactlap.serialize import lambda_from_text, target_from_text
 from exactlap.solver import coherent_solution, universal_element
 
+import exactlap
 import exactlap.chain as chain_module
 import exactlap.direct as direct_module
+import exactlap.kernel as kernel_module
 import exactlap.linalg as linalg_module
 import exactlap.operators as operators_module
 import exactlap.solver as solver_module
@@ -374,16 +378,37 @@ def test_chains_and_solves_never_build_deep_sets(monkeypatch):
 
 
 def _counted_eliminations(monkeypatch):
-    """The argument tuples of every `_eliminate` call from here on."""
+    """The argument tuples of every `_eliminate` call from here on.
+
+    Every binding of the kernel's `_eliminate` in the package, under any
+    name, gets the counting wrapper, so a call from any module is counted.
+    """
     calls = []
-    real = linalg_module._eliminate
+    real = kernel_module._eliminate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg_module, "_eliminate", counted)
+    callers = set()
+    for info in pkgutil.iter_modules(exactlap.__path__):
+        module = importlib.import_module(f"exactlap.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+                callers.add(info.name)
+    # the determinant, and every solution image, a spanning set's included
+    assert {"linalg", "subspace"} <= callers
     return calls
+
+
+def test_a_spanning_set_is_put_in_canonical_form_by_one_elimination(monkeypatch):
+    calls = _counted_eliminations(monkeypatch)
+    point = [Fraction(1), Fraction(0), Fraction(0)]
+    assert AffineSubspace(3, point).dim == 0
+    assert len(calls) == 0  # a point alone is already canonical
+    assert AffineSubspace(3, point, [[0, 1, 1], [0, 2, 2]]).dim == 1
+    assert len(calls) == 1
 
 
 def test_wide_solution_sets_eliminate_once(monkeypatch):
