@@ -13,7 +13,7 @@ system no longer changes, so the image is exact.  On an infinite graph the
 run is a window observation.  If the depth budget runs out first, the
 honest answer is "window exceeded", never a claimed stabilization.  The
 canonical point of a stabilized image is re-checked against the target
-through `apply_laplacian`.
+through the one re-check, `exactlap.operators.solves`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from .errors import BadRadii, ChainViolation, NotStabilized
 from .functions import BallFunction, TargetFunction
 from .linalg import affine_subset, subspace_equal
-from .operators import LambdaField, apply_laplacian, restricted_operator_matrix
+from .operators import LambdaField, restricted_operator_matrix, solves
 from .oracle import Ball, GraphOracle, enumerate_ball
 from .record import Record
 from .subspace import AffineSubspace, solution_image
@@ -84,7 +84,7 @@ def run_chain(
     one first: an equal image needs no nesting test, and a changed one must
     be of strictly smaller dimension and contained in the previous image.
     The canonical point of a non-empty stabilized image is re-checked
-    against the target through `apply_laplacian`.  A violation means a
+    against the target through `solves`.  A violation means a
     bug, not a mathematical outcome, and raises ChainViolation.
     """
     if n > max_m:
@@ -117,8 +117,7 @@ def run_chain(
             stabilized_at = m - run_length
             break
     if stabilized_at is not None and not prev.is_empty:
-        applied = apply_laplacian(oracle, BallFunction(ambient_ball, prev.particular), lam)
-        if applied.values != target.on_ball(enumerate_ball(oracle, n)).values:
+        if not solves(oracle, BallFunction(ambient_ball, prev.particular), target, lam):
             raise ChainViolation(
                 f"canonical point of the stabilized image at level {n} misses the target"
             )

@@ -5,9 +5,11 @@ function supported in the ball whose operator values vanish on the ball
 would have constant modulus on the strictly larger ball, hence be zero),
 so every target admits a unique finitely-supported preimage agreeing with
 it on B_n.  Each such solve pins a global solution to within prodiscrete
-distance 2^-(n+1), and is re-checked through `apply_laplacian`.  The
-invertibility certificate, the rectangular solution sets and the
-prodiscrete metric live here too; the coherent route is in
+distance 2^-(n+1).  `verified` builds the report of every solve, this one
+and the coherent route's top level alike: it re-checks the solution
+through the one re-check, `exactlap.operators.solves`, and takes the bound
+from `_tail`.  The invertibility certificate, the rectangular solution
+sets and the prodiscrete metric live here too; the coherent route is in
 `exactlap.chain` and `exactlap.solver`.
 """
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 from .errors import BadRadii, DimensionMismatch, InsufficientDomain, SingularSystem
 from .functions import BallFunction, TargetFunction
 from .linalg import determinant, solve_exact
-from .operators import LambdaField, apply_laplacian, restricted_operator_matrix, truncated_operator_matrix
+from .operators import LambdaField, restricted_operator_matrix, solves, truncated_operator_matrix
 from .oracle import GraphOracle, enumerate_ball
 from .record import Record
 from .subspace import AffineSubspace
@@ -57,6 +59,34 @@ class Certificate(Record):
     passes: bool
 
 
+def _tail(n: int) -> Fraction:
+    """2^-(n+1), the prodiscrete weight of every ball beyond B_n taken together."""
+    return Fraction(1, 2 ** (n + 1))
+
+
+def verified(
+    oracle: GraphOracle,
+    target: TargetFunction,
+    lam: LambdaField,
+    n: int,
+    solution: BallFunction,
+    construction: str,
+) -> SolveReport:
+    """The report on ``solution``, a claimed preimage of the target on B_n.
+
+    The solution, supported in B_n or given on B_{n+1}, is extended by zero
+    to B_{n+1} and re-checked there through `solves`.
+    """
+    outer = enumerate_ball(oracle, n + 1)
+    return SolveReport(
+        radius=n,
+        solution=solution,
+        residual_ok=solves(oracle, solution.extend_zero(outer), target, lam),
+        construction=construction,
+        metric_bound=_tail(n),
+    )
+
+
 def solve_on_ball(
     oracle: GraphOracle, target: TargetFunction, n: int, lam: LambdaField
 ) -> SolveReport:
@@ -69,8 +99,7 @@ def solve_on_ball(
         raise BadRadii("radius must be nonnegative")
     ball = enumerate_ball(oracle, n)
     matrix = truncated_operator_matrix(oracle, n, lam)
-    rhs = target.on_ball(ball).values
-    solution_set = solve_exact(matrix, rhs)
+    solution_set = solve_exact(matrix, target.on_ball(ball).values)
     if solution_set.is_empty or solution_set.dim != 0:
         raise SingularSystem(
             f"truncated operator is singular at radius {n}"
@@ -79,16 +108,7 @@ def solve_on_ball(
             boundary_saturated=ball.boundary_saturated,
         )
     f = BallFunction(ball, solution_set.particular)
-    outer = enumerate_ball(oracle, n + 1)
-    applied = apply_laplacian(oracle, f.extend_zero(outer), lam)
-    residual_ok = applied.values == rhs
-    return SolveReport(
-        radius=n,
-        solution=f,
-        residual_ok=residual_ok,
-        construction=BALL_CONSTRUCTION,
-        metric_bound=Fraction(1, 2 ** (n + 1)),
-    )
+    return verified(oracle, target, lam, n, f, BALL_CONSTRUCTION)
 
 
 def max_principle_certificate(oracle: GraphOracle, n: int, lam: LambdaField) -> Certificate:
@@ -139,7 +159,7 @@ def prodiscrete_distance(
         if f.values[v] != h.values[v]:
             first_disagreement = scope.distances[v]
             break
-    tail = Fraction(1, 2 ** (depth + 1))
+    tail = _tail(depth)
     if first_disagreement is None:
         return Fraction(0), tail
     lower = Fraction(1, 2**first_disagreement) - tail

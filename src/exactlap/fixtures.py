@@ -18,7 +18,7 @@ from .operators import LambdaField
 from .oracle import enumerate_ball
 from .serialize import target_from_json
 from .specs import graph_spec_from_text
-from .wire import dump_report, format_fraction, solution_to_json
+from .wire import dump_report, format_fraction, verified_fields
 
 DEFAULT_FIXTURE_FAMILIES = "z,z2,tree3,ladder2,c5"
 
@@ -73,15 +73,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
                     }
                 )
                 continue
-            results.append(
-                {
-                    "radius": n,
-                    "status": "ok",
-                    "solution": solution_to_json(rep.solution),
-                    "residual_zero": rep.residual_ok,
-                    "metric_bound": format_fraction(rep.metric_bound),
-                }
-            )
+            results.append({"radius": n, "status": "ok", **verified_fields(rep)})
         fixture = {
             "role": "regression baseline, computed by this build, not ground truth",
             "seed": seed,

@@ -15,7 +15,7 @@ from .direct import max_principle_certificate, prodiscrete_distance, solve_on_ba
 from .errors import EmptyUniversalSet, NotStabilized
 from .flags import EXIT_ANOMALY, EXIT_OK, EXIT_WINDOW_EXCEEDED, usage_error
 from .solver import coherent_solution, universal_element
-from .wire import format_fraction, solution_to_json
+from .wire import format_fraction, solution_to_json, verified_fields
 
 
 def _depth_budget(args, n: int) -> int:
@@ -33,9 +33,7 @@ def _ball_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
         "status": "ok",
         "construction": rep.construction,
         "ball_size": rep.solution.ball.size,
-        "solution": solution_to_json(rep.solution),
-        "residual_zero": rep.residual_ok,
-        "metric_bound": format_fraction(rep.metric_bound),
+        **verified_fields(rep),
     }
     return report, EXIT_OK if rep.residual_ok else EXIT_ANOMALY
 
@@ -85,9 +83,7 @@ def _coherent_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
         "status": "ok",
         "construction": rep.construction,
         "radius": rep.radius,
-        "solution": solution_to_json(rep.solution),
-        "residual_zero": rep.residual_ok,
-        "metric_bound": format_fraction(rep.metric_bound),
+        **verified_fields(rep),
         "family": [
             {"level": i, "ball_radius": fn.ball.radius, "solution": solution_to_json(fn)}
             for i, fn in enumerate(result.levels)

@@ -66,6 +66,14 @@ def target_from_text(text: str) -> TargetFunction:
     return target_from_json(_load_spec_text(text, "target"))
 
 
+def _weight(build, data) -> LambdaField:
+    """``build(data)``, whose sign check in `exactlap.operators` reads as a spec error here."""
+    try:
+        return build(data)
+    except ValueError as e:
+        raise SpecFormatError(str(e)) from None
+
+
 def lambda_from_json(spec: dict) -> LambdaField:
     """Build a diagonal weight from its canonical JSON description.
 
@@ -78,21 +86,14 @@ def lambda_from_json(spec: dict) -> LambdaField:
     if kind == "constant":
         if "value" not in spec:
             raise SpecFormatError("constant weight requires a 'value'")
-        value = parse_fraction(spec["value"])
-        if value < 0:
-            raise SpecFormatError(f"weight must be nonnegative, got {value}")
-        return LambdaField.constant(value)
+        return _weight(LambdaField.constant, parse_fraction(spec["value"]))
     if kind == "distance":
         return LambdaField.distance()
     if kind == "map":
         entries = spec.get("entries")
         if not isinstance(entries, dict):
             raise SpecFormatError("map weight requires an 'entries' object keyed by vertex id")
-        clean = _vertex_entries(entries, "map weight")
-        for vertex, value in clean.items():
-            if value < 0:
-                raise SpecFormatError(f"weight must be nonnegative, got {value} at vertex {vertex}")
-        return LambdaField.from_map(clean)
+        return _weight(LambdaField.from_map, _vertex_entries(entries, "map weight"))
     raise SpecFormatError(f"unknown weight kind {kind!r}")
 
 

@@ -7,8 +7,10 @@ of images on B_{n+1} of the deeper solution sets until it stabilizes
 level, so one obtains a family x_0, x_1, ... where each x_{n+1} agrees
 with x_n on its whole domain ball; the union is a single global preimage.
 This module reads those elements off the stabilized images and builds the
-family, whose top level is re-checked through `apply_laplacian`.  The
-benchmark binds the direct route's functions here.
+family.  Its top level is reported through `exactlap.direct.verified`,
+like every ball solve, so it passes the one re-check,
+`exactlap.operators.solves`.  The benchmark binds the direct route's
+functions here.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chain import ChainState, run_chain
-from .direct import SolveReport
+from .direct import SolveReport, verified
 # kept for the benchmark's tracer and the acceptance tests, which find these here
 from .direct import affine_solution_set, max_principle_certificate, prodiscrete_distance, solve_on_ball
 from .errors import BadRadii, EmptyUniversalSet, LiftFailed
 from .functions import BallFunction, TargetFunction
 from .linalg import determinant  # kept for the benchmark's self-test
-from .operators import LambdaField, apply_laplacian
+from .operators import LambdaField
 from .oracle import GraphOracle, enumerate_ball
 from .record import Record
 
@@ -94,15 +96,5 @@ def coherent_solution(
     levels: list[BallFunction] = []
     for chain in chains:
         levels.append(_lift(chain, levels[-1].values if levels else ()))
-    top = levels[-1]
-    inner = enumerate_ball(oracle, big_n)
-    applied = apply_laplacian(oracle, top, lam)
-    residual_ok = applied.values == target.on_ball(inner).values
-    report = SolveReport(
-        radius=big_n,
-        solution=top,
-        residual_ok=residual_ok,
-        construction=COHERENT_CONSTRUCTION,
-        metric_bound=Fraction(1, 2 ** (big_n + 1)),
-    )
+    report = verified(oracle, target, lam, big_n, levels[-1], COHERENT_CONSTRUCTION)
     return CoherentResult(levels=tuple(levels), report=report)

@@ -3,7 +3,8 @@
 Every number crossing a process boundary is an exact rational rendered as
 "p/q" (or just "p" when the denominator is 1); parsers accept both forms
 and plain integers.  Floats are rejected everywhere, by policy.  A report
-is one JSON object with solution values keyed by vertex label.  Graph,
+is one JSON object with solution values keyed by vertex label, and every
+verified solve shows the same three fields, from `verified_fields`.  Graph,
 target and weight specs are read in `exactlap.specs` and
 `exactlap.serialize`.
 """
@@ -73,6 +74,16 @@ def describe_lambda(lam: LambdaField) -> str:
 def solution_to_json(fn: BallFunction) -> dict[str, str]:
     """Solution values keyed by the family's native vertex labels, in ball order."""
     return {label: format_fraction(x) for label, x in fn.label_items()}
+
+
+def verified_fields(rep) -> dict:
+    """The report fields of a `exactlap.direct.SolveReport`, in report order:
+    the solution, its re-check and its distance bound."""
+    return {
+        "solution": solution_to_json(rep.solution),
+        "residual_zero": rep.residual_ok,
+        "metric_bound": format_fraction(rep.metric_bound),
+    }
 
 
 def ball_function_from_json(ball, values: Mapping[str, str]) -> BallFunction:

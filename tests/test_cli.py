@@ -25,7 +25,7 @@ from exactlap.cli import (
 from exactlap.direct import Certificate, solve_on_ball
 from exactlap.errors import SingularSystem, SpecFormatError
 from exactlap.flags import MODES, SCHEMA_HELP
-from exactlap.functions import TargetFunction
+from exactlap.functions import BallFunction, TargetFunction
 from exactlap.graphs import enumerate_ball, grid_oracle
 from exactlap.linalg import AffineSubspace
 from exactlap.operators import LambdaField
@@ -35,6 +35,7 @@ from exactlap.wire import ball_function_from_json, format_fraction, parse_fracti
 
 import exactlap.chain as chain_module
 import exactlap.cli as cli_module
+import exactlap.direct as direct_module
 import exactlap.reports as reports_module
 import exactlap.solver as solver_module
 
@@ -228,6 +229,49 @@ def test_chain_residual_recheck_rejects_a_corrupted_image(capsys, monkeypatch):
     assert code == EXIT_ANOMALY
     assert out == ""
     assert "misses the target" in err
+
+
+def corrupt_ball_solves(monkeypatch, size=None):
+    """Each square solve (of ``size`` unknowns only, if given) off by one at the root."""
+    real = direct_module.solve_exact
+
+    def corrupted(matrix, rhs):
+        point = real(matrix, rhs).particular
+        if size is None or len(point) == size:
+            point = (point[0] + 1,) + point[1:]
+        return AffineSubspace.from_point(point)
+
+    monkeypatch.setattr(direct_module, "solve_exact", corrupted)
+
+
+def test_ball_solve_that_fails_the_re_check_is_an_anomaly(capsys, monkeypatch):
+    corrupt_ball_solves(monkeypatch)
+    code, out, err = invoke(capsys, ["--graph", "z", "--mode", "ball", "--radius", "2"])
+    assert code == EXIT_ANOMALY
+    report = json.loads(out)
+    assert report["status"] == "ok"
+    assert report["residual_zero"] is False
+    assert report["solution"]["0"] == "4"  # the root's value 3, off by one
+    assert err == ""
+
+
+def test_coherent_top_level_that_fails_the_re_check_is_an_anomaly(capsys, monkeypatch):
+    """The top level is changed at the root after its lift, past every chain's own re-check."""
+    real = solver_module._lift
+
+    def corrupted(chain, prefix):
+        lifted = real(chain, prefix)
+        if chain.level < 2:
+            return lifted
+        return BallFunction(lifted.ball, (lifted.values[0] + 1,) + lifted.values[1:])
+
+    monkeypatch.setattr(solver_module, "_lift", corrupted)
+    code, out, err = invoke(capsys, ["--graph", "z", "--mode", "coherent", "--radius", "2"])
+    assert code == EXIT_ANOMALY
+    report = json.loads(out)
+    assert report["residual_zero"] is False
+    assert report["solution"] == report["family"][-1]["solution"]
+    assert err == ""
 
 
 def test_coherent_lift_failure_is_an_anomaly(capsys, monkeypatch):
@@ -492,6 +536,21 @@ def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "lam, message",
+    [
+        ("-1/2", "weight must be nonnegative, got -1/2"),
+        ('{"kind":"constant","value":"-2"}', "weight must be nonnegative, got -2"),
+        ('{"kind":"map","entries":{"0":"1","2":"-3"}}', "weight must be nonnegative, got -3 at vertex 2"),
+    ],
+)
+def test_negative_weights_exit_3(capsys, lam, message):
+    code, out, err = invoke(capsys, ["--graph", "z", "--mode", "ball", "--radius", "1", f"--lambda={lam}"])
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"invalid input: {message}\n"
+
+
+@pytest.mark.parametrize(
     "spec, key",
     [('{"family":"ladder","widht":3}', "widht"),
      ('{"family":"custom","vertices":3,"edges":[[0,1],[1,2]],"roots":2}', "roots")],
@@ -653,6 +712,40 @@ def test_fixtures_mark_finite_saturation_and_zero_residuals(tmp_path, capsys):
     z = json.loads((tmp_path / "z.json").read_text())
     assert all(r["residual_zero"] for r in z["results"])
     assert z["role"].startswith("regression baseline")
+
+
+def test_fixtures_record_a_solve_that_fails_the_re_check(tmp_path, capsys, monkeypatch):
+    corrupt_ball_solves(monkeypatch, size=5)  # z's ball of radius 2 only
+    invoke(capsys, ["--mode", "fixtures", "--out", str(tmp_path), "--graph", "z"])
+    results = json.loads((tmp_path / "z.json").read_text())["results"]
+    assert [r["residual_zero"] for r in results] == [True, True, False, True]
+
+
+VERIFIED_FIELDS = ["solution", "residual_zero", "metric_bound"]
+
+
+def test_verified_solves_render_the_same_three_fields(tmp_path, capsys):
+    """The ball report, the coherent report and a fixture result for one
+    graph, target and weight show the verified fields together, in one order."""
+    code, _, _ = invoke(capsys, ["--mode", "fixtures", "--out", str(tmp_path), "--graph", "z2", "--radius", "2"])
+    assert code == EXIT_OK
+    fixture = json.loads((tmp_path / "z2.json").read_text())
+    target = json.dumps(fixture["target"])
+    reports = [fixture["results"][2]]
+    for mode in ("ball", "coherent"):
+        code, out, _ = invoke(capsys, ["--graph", "z2", "--mode", mode, "--radius", "2", "--target", target])
+        assert code == EXIT_OK
+        reports.append(json.loads(out))
+    for report in reports:
+        keys = list(report)
+        start = keys.index("solution")
+        assert keys[start : start + 3] == VERIFIED_FIELDS
+        assert report["residual_zero"] is True
+        assert report["metric_bound"] == "1/8"
+    fixed, ball, coherent = reports
+    assert {k: fixed[k] for k in VERIFIED_FIELDS} == {k: ball[k] for k in VERIFIED_FIELDS}
+    # the coherent solution lives on the next ball out
+    assert len(coherent["solution"]) > len(ball["solution"])
 
 
 def test_fixture_family_subset_and_seed_sensitivity(tmp_path, capsys):

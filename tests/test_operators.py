@@ -301,7 +301,9 @@ def test_weights():
     field = LambdaField.from_map({1: Fraction(1, 2), 2: Fraction(0)})
     assert field.value(oracle, 1) == Fraction(1, 2)
     assert field.value(oracle, 2) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight must be nonnegative, got -1$"):
         LambdaField.constant(-1)
+    with pytest.raises(ValueError, match=r"^weight must be nonnegative, got -1 at vertex 0$"):
+        LambdaField.from_map({0: -1})
     with pytest.raises(ValueError):
         LambdaField.from_map({0: Fraction(-1, 2)})

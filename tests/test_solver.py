@@ -600,6 +600,68 @@ def test_coherent_negative_levels_rejected():
         coherent_solution(line_oracle(), DELTA, -1, 5, 3, LAM0)
 
 
+# --- the one re-check -------------------------------------------------------
+
+
+def off_by_one_at_the_root(solve):
+    """``solve_exact`` whose unique point is off by one at the root."""
+
+    def corrupted(matrix, rhs):
+        point = solve(matrix, rhs).particular
+        return AffineSubspace.from_point((point[0] + 1,) + point[1:])
+
+    return corrupted
+
+
+def _counted_residuals(monkeypatch):
+    """The argument tuples of every `apply_laplacian` call from here on.
+
+    Every package module that binds it gets the counting wrapper, and
+    `operators`, where `solves` calls it, must be the only one.
+    """
+    calls = []
+    real = operators_module.apply_laplacian
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    binders = set()
+    for info in pkgutil.iter_modules(exactlap.__path__):
+        module = importlib.import_module(f"exactlap.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, counted)
+                binders.add(info.name)
+    assert binders == {"operators"}
+    return calls
+
+
+def test_a_corrupted_ball_solve_fails_the_re_check(monkeypatch):
+    monkeypatch.setattr(direct_module, "solve_exact", off_by_one_at_the_root(direct_module.solve_exact))
+    for make in (line_oracle, lambda: tree_oracle(3)):
+        rep = solve_on_ball(make(), DELTA, 2, LAM0)
+        assert rep.residual_ok is False
+        assert rep.metric_bound == Fraction(1, 8)
+
+
+def test_every_answer_is_re_checked_once(monkeypatch):
+    calls = _counted_residuals(monkeypatch)
+    assert solve_on_ball(tree_oracle(3), DELTA, 2, LAM0).residual_ok
+    assert len(calls) == 1
+    # one re-check per stabilized chain with a point, none for a window exceeded or an empty image
+    assert run_chain(line_oracle(), DELTA, 1, 6, 3, LAM0).stabilized_at == 1
+    assert len(calls) == 2
+    assert run_chain(line_oracle(), DELTA, 1, 1, 3, LAM0).stabilized_at is None
+    assert run_chain(cycle_oracle(4), DELTA, 0, 6, 3, LAM0).stabilized_image.is_empty
+    assert len(calls) == 2
+    # a coherent family of three levels: one per level's chain, and one for the top level
+    assert coherent_solution(tree_oracle(3), DELTA, 2, 8, 3, LAM0).report.residual_ok
+    assert len(calls) == 2 + 3 + 1
+    top = calls[-1][1]
+    assert top.ball.radius == 3
+
+
 # --- metric ----------------------------------------------------------------
 
 
