@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .errors import SingularSystem, SpecFormatError
-from .flags import EXIT_OK, usage_error
+from .flags import EXIT_ANOMALY, EXIT_OK, usage_error
 from .direct import solve_on_ball
 from .graphs import family_oracle
 from .operators import LambdaField
@@ -35,8 +35,11 @@ def _random_sparse_target(rng, ball_size: int) -> dict:
     return {"kind": "sparse", "entries": entries}
 
 
-def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str) -> list[str]:
+def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str) -> tuple[list[str], bool]:
     """Write per-family regression baselines with seeded sparse targets.
+
+    Returns the file names and whether every solve passed its re-check and
+    every singular ball had saturated its finite graph.
 
     Each entry's file is named after the entry's last path component plus
     ``.json``, inside ``out_dir`` whatever the entry.  Every fixture is
@@ -51,7 +54,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
     clash = next((n for i, n in enumerate(names) if n in names[:i]), None)
     if clash is not None:
         raise SpecFormatError(f"two --graph entries would both write fixture {clash!r}")
-    texts = []
+    texts, sound = [], True
     for shorthand in families:
         spec = graph_spec_from_text(shorthand)
         oracle = family_oracle(spec)
@@ -64,6 +67,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
             try:
                 rep = solve_on_ball(oracle, target, n, LambdaField.zero())
             except SingularSystem as e:
+                sound = sound and e.boundary_saturated
                 results.append(
                     {
                         "radius": n,
@@ -73,6 +77,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
                     }
                 )
                 continue
+            sound = sound and rep.residual_ok
             results.append({"radius": n, "status": "ok", **verified_fields(rep)})
         fixture = {
             "role": "regression baseline, computed by this build, not ground truth",
@@ -87,7 +92,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
     for name, text in zip(names, texts):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    return names
+    return names, sound
 
 
 def fixtures_report(args) -> tuple[dict, int]:
@@ -97,7 +102,7 @@ def fixtures_report(args) -> tuple[dict, int]:
     max_radius = args.radius if args.radius is not None else 3
     if max_radius < 0:
         usage_error("--radius must be nonnegative")
-    files = emit_fixtures(args.seed, families, max_radius, args.out)
+    files, sound = emit_fixtures(args.seed, families, max_radius, args.out)
     report = {
         "mode": "fixtures",
         "seed": args.seed,
@@ -105,4 +110,4 @@ def fixtures_report(args) -> tuple[dict, int]:
         "files": files,
         "status": "ok",
     }
-    return report, EXIT_OK
+    return report, EXIT_OK if sound else EXIT_ANOMALY

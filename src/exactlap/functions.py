@@ -1,10 +1,11 @@
-"""Rational functions on balls, and the targets the solver matches.
+"""Rational functions on balls, and vertex functions in closed form.
 
 A `BallFunction` holds its values in ball order, so restriction to a
-smaller ball is a prefix and extension by zero pads it.  A
-`TargetFunction` is a right-hand side in closed form, evaluable at any
-vertex the solver probes.  The operator that maps one to the other is in
-`exactlap.operators`.
+smaller ball is a prefix and extension by zero pads it.  A `VertexField`
+is a vertex function in closed form with the one `value` of the package's
+targets (`TargetFunction`, here) and weights (`LambdaField`, in
+`exactlap.operators`, beside the operator that maps ball functions to
+target values).
 """
 
 from __future__ import annotations
@@ -48,46 +49,55 @@ class BallFunction(Record):
         return [(oracle.label(v), x) for v, x in zip(self.ball.vertices, self.values)]
 
 
-class TargetFunction:
-    """Right-hand side evaluable at any vertex the solver probes.
+_ZERO = Fraction(0)
 
-    Closed forms keep unbounded targets expressible without materializing
-    the graph: a unit impulse at the root, a radial profile depending only
-    on the distance to the root, or an explicit finitely-supported map.
+
+class VertexField:
+    """A rational function on the vertices, given in closed form.
+
+    It is either a profile of the distance to the root, evaluable at any
+    vertex the solver probes without materializing the graph, or a finite
+    map by vertex id that is zero elsewhere.  ``kind`` and ``data`` name
+    the closed form for reprs and reports; only `value` reads the profile
+    or the map.
     """
 
-    def __init__(self, kind: str, data=None):
+    def __init__(self, kind: str, data=None, *, profile=None, entries=None):
         self.kind = kind
         self.data = data
+        self._profile = profile
+        self._entries = entries
+
+    def value(self, oracle: GraphOracle, v: int) -> Fraction:
+        if self._profile is None:
+            return self._entries.get(v, _ZERO)
+        return self._profile(oracle.distance(v))
+
+
+class TargetFunction(VertexField):
+    """Right-hand side evaluable at any vertex the solver probes: a unit
+    impulse at the root, a radial profile, or an explicit finitely-supported
+    map."""
 
     @classmethod
     def delta(cls) -> "TargetFunction":
-        return cls("delta")
+        return cls("delta", entries={0: Fraction(1)})  # the root is id 0
 
     @classmethod
     def radial(cls, coeffs) -> "TargetFunction":
         """Profile given by a coefficient list indexed by distance; zero beyond."""
-        return cls("radial", tuple(Fraction(c) for c in coeffs))
+        c = tuple(Fraction(x) for x in coeffs)
+        return cls("radial", c, profile=lambda d: c[d] if d < len(c) else _ZERO)
 
     @classmethod
     def radial_fn(cls, fn: Callable[[int], Fraction]) -> "TargetFunction":
         """Profile given by an arbitrary distance -> rational function."""
-        return cls("radial_fn", fn)
+        return cls("radial_fn", fn, profile=lambda d: Fraction(fn(d)))
 
     @classmethod
     def sparse(cls, entries: Mapping[int, Fraction]) -> "TargetFunction":
         clean = {int(v): Fraction(x) for v, x in entries.items() if Fraction(x)}
-        return cls("sparse", clean)
-
-    def value(self, oracle: GraphOracle, v: int) -> Fraction:
-        if self.kind == "delta":
-            return Fraction(1) if v == oracle.root else Fraction(0)
-        if self.kind == "radial":
-            d = oracle.distance(v)
-            return self.data[d] if d < len(self.data) else Fraction(0)
-        if self.kind == "radial_fn":
-            return Fraction(self.data(oracle.distance(v)))
-        return self.data.get(v, Fraction(0))
+        return cls("sparse", clean, entries=clean)
 
     def on_ball(self, ball: Ball) -> BallFunction:
         oracle = ball.oracle

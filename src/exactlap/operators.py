@@ -26,33 +26,29 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import BadRadii, DimensionMismatch, InsufficientDomain
-from .functions import BallFunction, TargetFunction
+from .functions import BallFunction, TargetFunction, VertexField
 from .matrix import RationalMatrix
 from .oracle import Ball, GraphOracle, enumerate_ball
 
 
-class LambdaField:
+class LambdaField(VertexField):
     """Nonnegative vertex weight added to the diagonal of the operator."""
-
-    def __init__(self, kind: str, data=None):
-        self.kind = kind
-        self.data = data
 
     @classmethod
     def zero(cls) -> "LambdaField":
-        return cls("zero")
+        return cls("zero", entries={})
 
     @classmethod
     def constant(cls, c) -> "LambdaField":
         c = Fraction(c)
         if c < 0:
             raise ValueError(f"weight must be nonnegative, got {c}")
-        return cls("constant", c)
+        return cls("constant", c, profile=lambda d: c)
 
     @classmethod
     def distance(cls) -> "LambdaField":
         """Weight equal to the graph distance from the root."""
-        return cls("distance")
+        return cls("distance", profile=Fraction)
 
     @classmethod
     def from_map(cls, entries: Mapping[int, Fraction]) -> "LambdaField":
@@ -64,16 +60,7 @@ class LambdaField:
                 raise ValueError(f"weight must be nonnegative, got {x} at vertex {v}")
             if x:
                 clean[int(v)] = x
-        return cls("map", clean)
-
-    def value(self, oracle: GraphOracle, v: int) -> Fraction:
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "constant":
-            return self.data
-        if self.kind == "distance":
-            return Fraction(oracle.distance(v))
-        return self.data.get(v, Fraction(0))
+        return cls("map", clean, entries=clean)
 
     def __repr__(self) -> str:
         return f"LambdaField({self.kind}{'' if self.data is None else ', ' + repr(self.data)})"

@@ -98,8 +98,8 @@ def _metric_report(args, oracle, target, lam, r1: int) -> tuple[dict, int]:
         usage_error("--max-m must be nonnegative in metric mode")
     depth = min(r1, r2)
     # each distinct radius is solved once, r1 first, so a singular r1 still raises first
-    sols = {r: solve_on_ball(oracle, target, r, lam).solution for r in dict.fromkeys((r1, r2))}
-    lower, upper = prodiscrete_distance(sols[r1], sols[r2], depth)
+    reps = {r: solve_on_ball(oracle, target, r, lam) for r in dict.fromkeys((r1, r2))}
+    lower, upper = prodiscrete_distance(reps[r1].solution, reps[r2].solution, depth)
     report = {
         "radius_a": r1,
         "radius_b": r2,
@@ -107,7 +107,7 @@ def _metric_report(args, oracle, target, lam, r1: int) -> tuple[dict, int]:
         "bounds": [format_fraction(lower), format_fraction(upper)],
         "status": "ok",
     }
-    return report, EXIT_OK
+    return report, EXIT_OK if all(rep.residual_ok for rep in reps.values()) else EXIT_ANOMALY
 
 
 # Report builders by mode, in the order --mode lists them.  Each returns its

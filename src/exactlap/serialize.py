@@ -42,10 +42,7 @@ def target_from_json(spec: dict) -> TargetFunction:
             raise SpecFormatError("radial target requires a 'coeffs' list")
         return TargetFunction.radial([parse_fraction(c) for c in coeffs])
     if kind == "sparse":
-        entries = spec.get("entries")
-        if not isinstance(entries, dict):
-            raise SpecFormatError("sparse target requires an 'entries' object keyed by vertex id")
-        return TargetFunction.sparse(_vertex_entries(entries, "sparse target"))
+        return TargetFunction.sparse(_vertex_entries(spec, "sparse target"))
     raise SpecFormatError(f"unknown target kind {kind!r}")
 
 
@@ -90,10 +87,7 @@ def lambda_from_json(spec: dict) -> LambdaField:
     if kind == "distance":
         return LambdaField.distance()
     if kind == "map":
-        entries = spec.get("entries")
-        if not isinstance(entries, dict):
-            raise SpecFormatError("map weight requires an 'entries' object keyed by vertex id")
-        return _weight(LambdaField.from_map, _vertex_entries(entries, "map weight"))
+        return _weight(LambdaField.from_map, _vertex_entries(spec, "map weight"))
     raise SpecFormatError(f"unknown weight kind {kind!r}")
 
 

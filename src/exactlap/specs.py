@@ -90,8 +90,11 @@ def _vertex_id(key, what: str) -> int:
     return _decimal(text)
 
 
-def _vertex_entries(entries: dict, what: str) -> dict[int, Fraction]:
-    """Rational values keyed by vertex id; two keys may not name one vertex."""
+def _vertex_entries(spec: dict, what: str) -> dict[int, Fraction]:
+    """The spec's 'entries': rational values keyed by vertex id, no two keys naming one vertex."""
+    entries = spec.get("entries")
+    if not isinstance(entries, dict):
+        raise SpecFormatError(f"{what} requires an 'entries' object keyed by vertex id")
     out: dict[int, Fraction] = {}
     for k, v in entries.items():
         vertex = _vertex_id(k, what)

@@ -36,6 +36,7 @@ from exactlap.wire import ball_function_from_json, format_fraction, parse_fracti
 import exactlap.chain as chain_module
 import exactlap.cli as cli_module
 import exactlap.direct as direct_module
+import exactlap.fixtures as fixtures_module
 import exactlap.reports as reports_module
 import exactlap.solver as solver_module
 
@@ -450,6 +451,20 @@ def test_metric_solves_each_distinct_radius_once(capsys, monkeypatch, extra, rad
     assert out == expected
 
 
+@pytest.mark.parametrize("size, max_m", [(None, "2"), (7, "3")], ids=["both", "second"])
+def test_metric_solve_that_fails_the_re_check_is_an_anomaly(capsys, monkeypatch, size, max_m):
+    """Either solve failing its re-check (here all, or only z's ball of
+    radius 3) makes the report an anomaly; the report itself is printed."""
+    argv = ["--graph", "z", "--mode", "metric", "--radius", "2", "--max-m", max_m]
+    _, expected, _ = invoke(capsys, argv)
+    corrupt_ball_solves(monkeypatch, size=size)
+    code, out, err = invoke(capsys, argv)
+    assert (code, err) == (EXIT_ANOMALY, "")
+    assert json.loads(out).keys() == json.loads(expected).keys()
+    if size is None:
+        assert out == expected  # equal radii: the bounds do not read the values
+
+
 @pytest.mark.parametrize("radius, max_m", [(3, 2), (2, 3)])
 def test_metric_reports_the_first_radius_that_is_singular(capsys, radius, max_m):
     # on c4 both balls saturate the graph; --radius is solved first
@@ -716,9 +731,27 @@ def test_fixtures_mark_finite_saturation_and_zero_residuals(tmp_path, capsys):
 
 def test_fixtures_record_a_solve_that_fails_the_re_check(tmp_path, capsys, monkeypatch):
     corrupt_ball_solves(monkeypatch, size=5)  # z's ball of radius 2 only
-    invoke(capsys, ["--mode", "fixtures", "--out", str(tmp_path), "--graph", "z"])
+    code, out, err = invoke(capsys, ["--mode", "fixtures", "--out", str(tmp_path), "--graph", "z"])
+    assert (code, err) == (EXIT_ANOMALY, "")
+    assert json.loads(out)["status"] == "ok"
     results = json.loads((tmp_path / "z.json").read_text())["results"]
     assert [r["residual_zero"] for r in results] == [True, True, False, True]
+
+
+def test_fixtures_record_an_unexpected_singular_ball(tmp_path, capsys, monkeypatch):
+    """A singular ball on an infinite graph is recorded, and the run is an anomaly."""
+    real = fixtures_module.solve_on_ball
+
+    def singular_at_two(oracle, target, n, lam):
+        if n == 2:
+            raise SingularSystem("forced", radius=n, boundary_saturated=False)
+        return real(oracle, target, n, lam)
+
+    monkeypatch.setattr(fixtures_module, "solve_on_ball", singular_at_two)
+    code, _, err = invoke(capsys, ["--mode", "fixtures", "--out", str(tmp_path), "--graph", "z"])
+    assert (code, err) == (EXIT_ANOMALY, "")
+    results = json.loads((tmp_path / "z.json").read_text())["results"]
+    assert [r.get("singular_expected_finite") for r in results] == [None, None, False, None]
 
 
 VERIFIED_FIELDS = ["solution", "residual_zero", "metric_bound"]

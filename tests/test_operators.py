@@ -26,6 +26,7 @@ from exactlap.operators import (
     restriction_matrix,
     truncated_operator_matrix,
 )
+from exactlap.wire import describe_lambda
 
 H = Fraction(1, 2)
 
@@ -290,6 +291,63 @@ def test_sparse_target_keyed_by_vertex_id():
     ball = enumerate_ball(oracle, 1)
     tgt = TargetFunction.sparse({1: Fraction(5), 40: Fraction(7), 2: Fraction(0)})
     assert tgt.on_ball(ball).values == (0, 5, 0)
+
+
+COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(3))
+ENTRIES = {0: Fraction(1, 3), 4: Fraction(-2), 7: Fraction(5), 10**6: Fraction(9)}
+
+# Each closed form beside its definition at vertex v, at distance d from the
+# root, and its repr.
+CLOSED_FORMS = {
+    "delta": (TargetFunction.delta, lambda v, d: 1 if v == 0 else 0, "TargetFunction(delta)"),
+    "radial": (
+        lambda: TargetFunction.radial(COEFFS),
+        lambda v, d: COEFFS[d] if d < len(COEFFS) else 0,
+        "TargetFunction(radial)",
+    ),
+    "radial_fn": (
+        lambda: TargetFunction.radial_fn(lambda d: d * d - 1),
+        lambda v, d: d * d - 1,
+        "TargetFunction(radial_fn)",
+    ),
+    "sparse": (
+        lambda: TargetFunction.sparse({**ENTRIES, 2: 0}),
+        lambda v, d: ENTRIES.get(v, 0),
+        "TargetFunction(sparse)",
+    ),
+    "zero": (LambdaField.zero, lambda v, d: 0, "LambdaField(zero)"),
+    "constant": (
+        lambda: LambdaField.constant("2/5"),
+        lambda v, d: Fraction(2, 5),
+        "LambdaField(constant, Fraction(2, 5))",
+    ),
+    "distance": (LambdaField.distance, lambda v, d: d, "LambdaField(distance)"),
+    "from_map": (
+        lambda: LambdaField.from_map({**ENTRIES, 0: Fraction(1, 3), 4: 0, 3: "7/2"}),
+        lambda v, d: {0: Fraction(1, 3), 3: Fraction(7, 2), 7: 5, 10**6: 9}.get(v, 0),
+        "LambdaField(map, {0: Fraction(1, 3), 7: Fraction(5, 1), 1000000: Fraction(9, 1), "
+        "3: Fraction(7, 2)})",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+@pytest.mark.parametrize("make_oracle, radius", [(lambda: grid_oracle(2), 3), (lambda: tree_oracle(3), 2)])
+def test_closed_forms_match_their_definitions(name, make_oracle, radius):
+    build, definition, text = CLOSED_FORMS[name]
+    field, oracle = build(), make_oracle()
+    ball = enumerate_ball(oracle, radius)
+    values = [field.value(oracle, v) for v in ball.vertices]
+    assert all(type(x) is Fraction for x in values)
+    assert values == [definition(v, ball.distances[v]) for v in ball.vertices]
+    assert repr(field) == text
+    if isinstance(field, TargetFunction):
+        assert field.on_ball(ball).values == tuple(values)
+
+
+def test_weights_describe_themselves_in_reports():
+    described = [describe_lambda(CLOSED_FORMS[name][0]()) for name in ("zero", "constant", "distance", "from_map")]
+    assert described == ["zero", "constant 2/5", "distance", "map"]
 
 
 def test_weights():
