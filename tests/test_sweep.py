@@ -1,0 +1,28 @@
+"""`tools/sweep.py` runs its requests in process and digests what they print and write."""
+
+import importlib.util
+import os
+import re
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
+spec = importlib.util.spec_from_file_location("sweep", TOOL)
+sweep = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(sweep)
+
+
+def test_a_prefix_of_the_sweep_gives_one_repeatable_digest():
+    argvs = sweep.requests()[:12]
+    home = os.getcwd()
+    digest, n_requests, n_files = sweep.sweep(argvs)
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert (n_requests, n_files) == (12, len(sweep.SPEC_FILES))
+    assert sweep.sweep(argvs)[0] == digest
+    assert os.getcwd() == home
+
+
+def test_flag_errors_and_written_reports_are_digested():
+    argvs = sweep.FLAG_ERRORS + [["--mode", "ball", "--graph", "z", "--radius", "1", "--out", "ball.json"]]
+    digest, n_requests, n_files = sweep.sweep(argvs)
+    assert (n_requests, n_files) == (len(argvs), len(sweep.SPEC_FILES) + 1)
+    assert sweep.sweep(argvs[:-1])[0] != digest

@@ -9,7 +9,6 @@ and ``--out`` reports) by relative path and content.
 
     python tools/sweep.py                    # the package in src/ beside tools/
     python tools/sweep.py OTHER/src          # another checkout's package
-    python tools/sweep.py --each [SRC]       # one digest per request first
 
 Run it on two checkouts: equal digests mean equal behaviour on the sweep.
 """
@@ -101,40 +100,34 @@ def requests() -> list[list[str]]:
     return out
 
 
-def sweep(each: bool) -> tuple[str, int, int]:
-    """Run every request; return the digest and the request and file counts."""
+def sweep(argvs: list[list[str]]) -> tuple[str, int, int]:
+    """Run the requests in a fresh temporary directory; return the digest
+    and the request and file counts."""
     from exactlap.cli import run_cli
 
     digest = hashlib.sha256()
-    argvs = requests()
-    for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli(list(argv))
-        line = json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n"
-        digest.update(line.encode())
-        if each:
-            print(hashlib.sha256(line.encode()).hexdigest()[:16], code, json.dumps(argv))
-    files = sorted(p for p in Path(".").rglob("*") if p.is_file())
-    for path in files:
-        digest.update((json.dumps([path.as_posix(), path.read_text(encoding="utf-8")]) + "\n").encode())
-    return digest.hexdigest(), len(argvs), len(files)
-
-
-def main(argv: list[str]) -> int:
-    each = "--each" in argv
-    rest = [a for a in argv if a != "--each"]
-    src = Path(rest[0]).resolve() if rest else SRC
-    sys.path.insert(0, str(src))
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for name, text in SPEC_FILES.items():
                 Path(name).write_text(text, encoding="utf-8")
-            digest, n_requests, n_files = sweep(each)
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run_cli(list(argv))
+                digest.update((json.dumps([argv, code, out.getvalue(), err.getvalue()]) + "\n").encode())
+            files = sorted(p for p in Path(".").rglob("*") if p.is_file())
+            for path in files:
+                digest.update((json.dumps([path.as_posix(), path.read_text(encoding="utf-8")]) + "\n").encode())
         finally:
             os.chdir(home)
+    return digest.hexdigest(), len(argvs), len(files)
+
+
+def main(argv: list[str]) -> int:
+    sys.path.insert(0, str(Path(argv[0]).resolve() if argv else SRC))
+    digest, n_requests, n_files = sweep(requests())
     print(f"{digest}  {n_requests} requests, {n_files} files")
     return 0
 
