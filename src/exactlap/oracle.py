@@ -17,7 +17,6 @@ through `GraphOracle._expand_next`, so this one bound covers them all.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Callable, Hashable, Iterable
 
 from .errors import VertexBudgetExceeded
@@ -32,8 +31,8 @@ class GraphOracle:
     """Lazy adjacency oracle over dense BFS-ordered vertex ids.
 
     ``raw_neighbors`` must be deterministic and is only ever called on keys
-    the oracle has already discovered.  Expansion is protected by a lock so
-    read-only sharing across threads is safe.  ``finite`` records that the
+    the oracle has already discovered.  An oracle grows as it is queried, so
+    it must not be shared across threads.  ``finite`` records that the
     graph is finite, a fact of the family that image chains rely on; an
     oracle is taken to be infinite unless its constructor says otherwise.
     """
@@ -54,7 +53,6 @@ class GraphOracle:
         self._ids: dict[Hashable, int] = {root_key: 0}
         self._adj: list[tuple[int, ...]] = []
         self._dist: list[int] = [0]
-        self._lock = threading.RLock()
 
     @property
     def root(self) -> int:
@@ -88,33 +86,28 @@ class GraphOracle:
         while len(self._adj) < len(self._keys) and self._dist[len(self._adj)] <= limit:
             self._expand_next()
 
+    def _check(self, v: int) -> None:
+        if not 0 <= v < len(self._keys):
+            raise ValueError(f"vertex id {v} has not been discovered")
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbor ids of a discovered vertex, in the family's documented order."""
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            while len(self._adj) <= v:
-                self._expand_next()
-            return self._adj[v]
+        self._check(v)
+        while len(self._adj) <= v:
+            self._expand_next()
+        return self._adj[v]
 
     def distance(self, v: int) -> int:
         """Graph distance from the root, known for every discovered vertex."""
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            return self._dist[v]
+        self._check(v)
+        return self._dist[v]
 
     def label(self, v: int) -> str:
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            return self._label_fn(self._keys[v])
+        return self._label_fn(self.key_of(v))
 
     def key_of(self, v: int) -> Hashable:
-        with self._lock:
-            if not 0 <= v < len(self._keys):
-                raise ValueError(f"vertex id {v} has not been discovered")
-            return self._keys[v]
+        self._check(v)
+        return self._keys[v]
 
     def __repr__(self) -> str:
         return f"GraphOracle({self.name!r}, discovered={len(self._keys)})"
@@ -138,17 +131,16 @@ def enumerate_ball(oracle: GraphOracle, n: int) -> Ball:
     """Enumerate the closed ball of radius n, probing n+1 for saturation."""
     if n < 0:
         raise ValueError("ball radius must be nonnegative")
-    with oracle._lock:
-        oracle._expand_through_distance(n)
-        # every vertex of distance <= n+1 is now discovered; distances are
-        # non-decreasing in id, so the ball is an id prefix
-        dist = oracle._dist
-        size = sum(1 for d in dist if d <= n)
-        saturated = len(dist) == size
-        return Ball(
-            oracle=oracle,
-            radius=n,
-            vertices=tuple(range(size)),
-            distances=tuple(dist[:size]),
-            boundary_saturated=saturated,
-        )
+    oracle._expand_through_distance(n)
+    # every vertex of distance <= n+1 is now discovered; distances are
+    # non-decreasing in id, so the ball is an id prefix
+    dist = oracle._dist
+    size = sum(1 for d in dist if d <= n)
+    saturated = len(dist) == size
+    return Ball(
+        oracle=oracle,
+        radius=n,
+        vertices=tuple(range(size)),
+        distances=tuple(dist[:size]),
+        boundary_saturated=saturated,
+    )

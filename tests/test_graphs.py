@@ -198,11 +198,15 @@ def test_repeated_queries_are_stable():
 
 
 def test_undiscovered_vertex_rejected():
+    """Every vertex read rejects an id outside the discovered prefix alike."""
     oracle = line_oracle()
-    with pytest.raises(ValueError):
-        oracle.neighbors(10**6)
-    with pytest.raises(ValueError):
-        oracle.distance(-3)
+    enumerate_ball(oracle, 1)  # discovers 0, -1, 1, -2, 2
+    reads = (oracle.neighbors, oracle.distance, oracle.label, oracle.key_of)
+    for read, v in itertools.product(reads, (-1, 5)):
+        with pytest.raises(ValueError, match=f"^vertex id {v} has not been discovered$"):
+            read(v)
+    assert repr(oracle) == "GraphOracle('line', discovered=5)"
+    assert [read(4) for read in reads] == [(2, 6), 2, "2", 2]
 
 
 def test_vertex_budget_leaves_the_oracle_usable(monkeypatch):

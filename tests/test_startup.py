@@ -3,8 +3,8 @@
 Most of a CLI call is interpreter start-up, so the package keeps its import
 graph to what it uses.  The probe imports the CLI, then prints the help,
 makes a usage error and runs a ball request: the paths where a flag parser
-would load gettext and locale, and where a solve could load fixtures code
-or an elimination heap.  It runs without the ``site`` module (``-S``),
+would load gettext and locale, and where a solve could load fixtures code,
+an elimination heap or a lock.  It runs without the ``site`` module (``-S``),
 which may preload some of these modules, and still compares against the
 modules loaded before the import rather than an absolute list.
 """
@@ -20,7 +20,7 @@ import exactlap
 
 GUARDED = (
     "dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random",
-    "argparse", "gettext", "locale", "heapq", "exactlap.fixtures",
+    "argparse", "gettext", "locale", "heapq", "threading", "exactlap.fixtures",
 )
 
 PROBE = """
