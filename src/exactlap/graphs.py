@@ -46,11 +46,20 @@ def validate_oracle(oracle: GraphOracle, probe_radius: int) -> None:
         raise GraphSpecError("graph failed validation: " + "; ".join(details))
 
 
-# the fields each family reads besides "family"; any other key is an error
-_FIELDS = {
-    "line": (), "grid": ("dims",), "tree": ("degree",), "ladder": ("width",), "free_group": ("rank",),
-    "cycle": ("size",), "path": ("size",), "custom": ("vertices", "edges", "root"),
+# each family's constructor, then the fields it reads besides "family" in the
+# order they are checked; any other key is an error
+_FAMILIES = {
+    "line": (line_oracle,), "grid": (grid_oracle, "dims"), "tree": (tree_oracle, "degree"),
+    "ladder": (ladder_oracle, "width"), "free_group": (free_group_oracle, "rank"),
+    "cycle": (cycle_oracle, "size"), "path": (path_oracle, "size"),
+    "custom": (custom_oracle, "edges", "vertices", "root"),
 }
+
+
+def _defaulted(build) -> tuple[str, ...]:
+    """The parameters that ``build`` gives a default, which a spec may leave out."""
+    code = build.__code__
+    return code.co_varnames[code.co_argcount - len(build.__defaults__ or ()) : code.co_argcount]
 
 
 def family_oracle(spec: dict) -> GraphOracle:
@@ -66,43 +75,30 @@ def family_oracle(spec: dict) -> GraphOracle:
       {"family": "path", "size": k}
       {"family": "custom", "vertices": N, "edges": [[i, j], ...], "root": i}
 
-    ``width`` and ``root`` are optional (2 and 0); any other key fails.
+    ``width`` and ``root`` are optional: an absent one takes its
+    constructor's default.  Any other key fails.
     """
     if not isinstance(spec, dict) or "family" not in spec:
         raise GraphSpecError(f"graph spec must be an object with a 'family' key: {spec!r}")
     family = spec["family"]
-    fields = _FIELDS.get(family) if isinstance(family, str) else None
-    if fields is None:
+    entry = _FAMILIES.get(family) if isinstance(family, str) else None
+    if entry is None:
         raise GraphSpecError(f"unknown graph family {family!r}")
+    build, *fields = entry
     unread = [k for k in spec if k != "family" and k not in fields]
     if unread:
         raise GraphSpecError(f"family {family!r} does not read field {unread[0]!r}")
-
-    def want_int(field, default=None):
-        if field not in spec:
-            if default is not None:
-                return default
+    given = {}
+    for field in fields:
+        value = spec.get(field)
+        if field == "edges":
+            if not isinstance(value, list):
+                raise GraphSpecError("custom graph requires an 'edges' list")
+        elif field not in spec:
+            if field in _defaulted(build):
+                continue
             raise GraphSpecError(f"family {family!r} requires field {field!r}")
-        value = spec[field]
-        if not isinstance(value, int) or isinstance(value, bool):
+        elif not isinstance(value, int) or isinstance(value, bool):
             raise GraphSpecError(f"field {field!r} must be an integer, got {value!r}")
-        return value
-
-    if family == "line":
-        return line_oracle()
-    if family == "grid":
-        return grid_oracle(want_int("dims"))
-    if family == "tree":
-        return tree_oracle(want_int("degree"))
-    if family == "ladder":
-        return ladder_oracle(want_int("width", 2))
-    if family == "free_group":
-        return free_group_oracle(want_int("rank"))
-    if family == "cycle":
-        return cycle_oracle(want_int("size"))
-    if family == "path":
-        return path_oracle(want_int("size"))
-    edges = spec.get("edges")  # custom, the one family left
-    if not isinstance(edges, list):
-        raise GraphSpecError("custom graph requires an 'edges' list")
-    return custom_oracle(want_int("vertices"), edges, root=want_int("root", 0))
+        given[field] = value
+    return build(**given)

@@ -22,14 +22,31 @@ from .specs import graph_from_text, graph_spec_from_text
 from .wire import ball_function_from_json, dump_report, solution_to_json
 
 
+# the fields each target and weight kind reads besides "kind"; any other key is an error
+_TARGET_FIELDS = {"delta": (), "zero": (), "geometric": (), "radial": ("coeffs",), "sparse": ("entries",)}
+_WEIGHT_FIELDS = {"zero": (), "constant": ("value",), "distance": (), "map": ("entries",)}
+
+
+def _kind(spec: dict, fields: dict, what: str) -> str:
+    """The spec's kind, once ``fields`` names it and the spec gives no field that kind does not read."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in fields:
+        raise SpecFormatError(f"unknown {what} kind {kind!r}")
+    unread = [k for k in spec if k != "kind" and k not in fields[kind]]
+    if unread:
+        raise SpecFormatError(f"{what} kind {kind!r} does not read field {unread[0]!r}")
+    return kind
+
+
 def target_from_json(spec: dict) -> TargetFunction:
     """Build a target from its canonical JSON description.
 
     Kinds: {"kind":"delta"}; {"kind":"zero"}; {"kind":"geometric"} (value
     2^-d at distance d); {"kind":"radial","coeffs":[...]} (zero beyond the
     list); {"kind":"sparse","entries":{"id":"p/q",...}} keyed by vertex id.
+    Any other key fails.
     """
-    kind = spec.get("kind")
+    kind = _kind(spec, _TARGET_FIELDS, "target")
     if kind == "delta":
         return TargetFunction.delta()
     if kind == "zero":
@@ -41,9 +58,7 @@ def target_from_json(spec: dict) -> TargetFunction:
         if not isinstance(coeffs, list):
             raise SpecFormatError("radial target requires a 'coeffs' list")
         return TargetFunction.radial([parse_fraction(c) for c in coeffs])
-    if kind == "sparse":
-        return TargetFunction.sparse(_vertex_entries(spec, "sparse target"))
-    raise SpecFormatError(f"unknown target kind {kind!r}")
+    return TargetFunction.sparse(_vertex_entries(spec, "sparse target"))  # sparse, the one kind left
 
 
 def target_from_text(text: str) -> TargetFunction:
@@ -75,9 +90,10 @@ def lambda_from_json(spec: dict) -> LambdaField:
     """Build a diagonal weight from its canonical JSON description.
 
     Kinds: {"kind":"zero"}; {"kind":"constant","value":"p/q"};
-    {"kind":"distance"}; {"kind":"map","entries":{"id":"p/q",...}}.
+    {"kind":"distance"}; {"kind":"map","entries":{"id":"p/q",...}}.  Any
+    other key fails.
     """
-    kind = spec.get("kind")
+    kind = _kind(spec, _WEIGHT_FIELDS, "weight")
     if kind == "zero":
         return LambdaField.zero()
     if kind == "constant":
@@ -86,9 +102,7 @@ def lambda_from_json(spec: dict) -> LambdaField:
         return _weight(LambdaField.constant, parse_fraction(spec["value"]))
     if kind == "distance":
         return LambdaField.distance()
-    if kind == "map":
-        return _weight(LambdaField.from_map, _vertex_entries(spec, "map weight"))
-    raise SpecFormatError(f"unknown weight kind {kind!r}")
+    return _weight(LambdaField.from_map, _vertex_entries(spec, "map weight"))  # map, the one kind left
 
 
 def lambda_from_text(text: str) -> LambdaField:

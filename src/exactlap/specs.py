@@ -44,6 +44,8 @@ def _load_spec_text(text: str, what: str) -> dict:
         raise SpecFormatError(f"{source} is not valid JSON: {e}") from None
     except ValueError:  # an integer over CPython's digit limit
         raise SpecFormatError(f"{source} holds an integer literal that is too long") from None
+    except RecursionError:
+        raise SpecFormatError(f"{source} is nested too deeply") from None
     if not isinstance(obj, dict):
         raise SpecFormatError(f"{what} spec must be a JSON object, got {type(obj).__name__}")
     return obj

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -575,6 +576,53 @@ def test_graph_spec_field_the_family_does_not_read_exits_3(capsys, spec, key):
     code, out, err = invoke(capsys, ["--graph", spec, "--mode", "certify", "--radius", "1"])
     assert (code, out) == (EXIT_INVALID, "")
     assert f"does not read field {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "flag, spec, message",
+    [("--target", '{"kind":"geometric","ratio":"1/3"}', "target kind 'geometric' does not read field 'ratio'"),
+     ("--lambda", '{"kind":"constant","value":"2","valeu":"3"}', "weight kind 'constant' does not read field 'valeu'")],
+    ids=["target", "weight"],
+)
+def test_target_and_weight_fields_their_kind_does_not_read_exit_3(capsys, flag, spec, message):
+    # before, the extra field was silently ignored
+    code, out, err = invoke(capsys, ["--graph", "z", "--mode", "ball", "--radius", "1", flag, spec])
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("parse, what", [(target_from_json, "target"), (lambda_from_json, "weight")])
+def test_an_unknown_kind_is_reported_before_an_unread_field(parse, what):
+    for kind in (["zero"], None, 0):
+        with pytest.raises(SpecFormatError, match=f"^unknown {what} kind {re.escape(repr(kind))}$"):
+            parse({"kind": kind, "extra": 1})
+
+
+# far deeper than any interpreter's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "flag, what, spec",
+    [("--target", "target", '{"kind":"sparse","entries":' + DEEP + "}"),
+     ("--lambda", "weight", '{"kind":"map","entries":' + DEEP + "}"),
+     ("--graph", "graph", '{"family":"custom","vertices":2,"edges":' + DEEP + "}")],
+    ids=["target", "weight", "graph"],
+)
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_deeply_nested_specs_exit_3(capsys, tmp_path, flag, what, spec, inline):
+    path = tmp_path / "deep.json"
+    path.write_text(spec)
+    source = f"inline {what} spec" if inline else f"{what} spec file {str(path)!r}"
+    code, out, err = invoke(capsys, ["--mode", "ball", "--radius", "1", flag, spec if inline else str(path)])
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {source} is nested too deeply\n")
+
+
+def test_deeply_nested_fixtures_entry_exits_3(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"family":"custom","vertices":2,"edges":' + DEEP + "}")
+    code, out, err = invoke(capsys, ["--mode", "fixtures", "--out", str(tmp_path / "fx"), "--graph", f"z,{path}"])
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: graph spec file {str(path)!r} is nested too deeply\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["deep.json"]  # nothing written
 
 
 @pytest.mark.parametrize(

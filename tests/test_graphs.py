@@ -2,6 +2,7 @@
 and the read-only Record base of the package's value types."""
 
 import itertools
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -402,6 +403,36 @@ def test_family_oracle_dispatch():
         {"family": "custom", "vertices": 3, "edges": [[0, 1], [1, 2]], "root": 1}
     )
     assert enumerate_ball(custom, 1).size == 3
+
+
+def test_family_oracle_leaves_optional_fields_to_their_constructors():
+    ladder, ladder2 = family_oracle({"family": "ladder"}), ladder_oracle(2)
+    ball = enumerate_ball(ladder, 3)
+    assert ball.size == enumerate_ball(ladder2, 3).size
+    assert [ladder.key_of(v) for v in ball.vertices] == [ladder2.key_of(v) for v in ball.vertices]
+    custom = family_oracle({"family": "custom", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
+    assert custom.key_of(0) == 0
+    assert enumerate_ball(custom, 1).size == 2
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # the family key, then an unread field, then each field in the order the family reads them
+        ({"family": ["grid"]}, "unknown graph family"),
+        ({"family": "custom"}, "custom graph requires an 'edges' list"),
+        ({"family": "custom", "vertices": 3, "edges": "x"}, "custom graph requires an 'edges' list"),
+        ({"family": "custom", "edges": [[0, 1]]}, "family 'custom' requires field 'vertices'"),
+        ({"family": "custom", "edges": [[0, 1]], "root": True}, "family 'custom' requires field 'vertices'"),
+        ({"family": "custom", "vertices": 2, "edges": [[0, 1]], "root": True}, "field 'root' must be an integer"),
+        ({"family": "custom", "vertices": 2.0, "edges": [[0, 1]], "rot": 1}, "does not read field 'rot'"),
+        ({"family": "grid", "dims": 2.0}, "field 'dims' must be an integer"),
+        ({"family": "ladder", "width": True}, "field 'width' must be an integer"),
+    ],
+)
+def test_family_oracle_reports_the_first_fault(spec, message):
+    with pytest.raises(GraphSpecError, match=re.escape(message)):
+        family_oracle(spec)
 
 
 @pytest.mark.parametrize(

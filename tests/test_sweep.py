@@ -3,7 +3,10 @@
 import importlib.util
 import os
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "sweep.py"
 spec = importlib.util.spec_from_file_location("sweep", TOOL)
@@ -26,3 +29,16 @@ def test_flag_errors_and_written_reports_are_digested():
     digest, n_requests, n_files = sweep.sweep(argvs)
     assert (n_requests, n_files) == (len(argvs), len(sweep.SPEC_FILES) + 1)
     assert sweep.sweep(argvs[:-1])[0] != digest
+
+
+# The digest covers stderr, which quotes standard-library error texts that
+# may differ between interpreters, so it is pinned on CPython 3.11 alone.
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the pinned digest was taken on CPython 3.11",
+)
+def test_the_full_sweep_keeps_the_pinned_digest():
+    # a change that alters an output on purpose updates this digest and says so in CHANGES.md
+    assert sweep.sweep(sweep.requests()) == (
+        "5a0bbd5cc056c2523694c04322544c7913b9eba24d0ab4ea3afd1402ff32d296", 2944, 15
+    )
