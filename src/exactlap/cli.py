@@ -5,7 +5,8 @@ Exit codes separate theorem-consistent outcomes from bugs:
   0   success, including the expected singular/unsolvable cases on finite
       graphs once a ball has swallowed the whole graph
   2   anomaly: an outcome the theory rules out on infinite graphs
-      (singular truncation, broken chain nesting, failed lift or certificate),
+      (singular truncation, an empty stabilized image in chain or coherent
+      mode, broken chain nesting, failed lift or certificate),
       or a solve that fails its residual re-check in ball, coherent or
       metric mode, or in fixtures mode a result that records a failed
       re-check or an unexpected singular ball

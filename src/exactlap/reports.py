@@ -64,7 +64,9 @@ def _chain_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
     if state.stabilized_at is not None:
         try:
             report["universal_element"] = solution_to_json(universal_element(state))
-        except EmptyUniversalSet:
+        except EmptyUniversalSet as e:
+            if not e.boundary_saturated:  # an anomaly, which run_cli reports as no_universal_element
+                raise
             report["universal_set_empty"] = True
     return report, EXIT_OK
 

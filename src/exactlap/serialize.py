@@ -2,7 +2,9 @@
 
 Every target and weight shorthand ("delta", "radial:1,1/2", "distance",
 "3/2") stands for a canonical JSON spec, and `target_from_json` /
-`lambda_from_json` build each one, so each check lives in one place.
+`lambda_from_json` build each one, so each check lives in one place:
+each kind is one row of `_TARGETS` or `_WEIGHTS`, as each graph family is
+one row of `exactlap.graphs._FAMILIES`.
 Rational strings and the JSON report are in `exactlap.wire`, the spec text
 and graph specs in `exactlap.specs`; the benchmark binds and imports
 their functions here.
@@ -22,20 +24,51 @@ from .specs import graph_from_text, graph_spec_from_text
 from .wire import ball_function_from_json, dump_report, solution_to_json
 
 
-# the fields each target and weight kind reads besides "kind"; any other key is an error
-_TARGET_FIELDS = {"delta": (), "zero": (), "geometric": (), "radial": ("coeffs",), "sparse": ("entries",)}
-_WEIGHT_FIELDS = {"zero": (), "constant": ("value",), "distance": (), "map": ("entries",)}
+def _coeffs(spec: dict, what: str) -> list[Fraction]:
+    coeffs = spec.get("coeffs")
+    if not isinstance(coeffs, list):
+        raise SpecFormatError(f"{what} requires a 'coeffs' list")
+    return [parse_fraction(c) for c in coeffs]
 
 
-def _kind(spec: dict, fields: dict, what: str) -> str:
-    """The spec's kind, once ``fields`` names it and the spec gives no field that kind does not read."""
+def _value(spec: dict, what: str) -> Fraction:
+    if "value" not in spec:
+        raise SpecFormatError(f"{what} requires a 'value'")
+    return parse_fraction(spec["value"])
+
+
+# each field's reader, given the spec and the "<kind> <what>" its messages name
+_READERS = {"coeffs": _coeffs, "value": _value, "entries": _vertex_entries}
+
+# each kind's builder, then the fields it reads besides "kind"; any other key is an error
+_TARGETS = {
+    "delta": (TargetFunction.delta,), "zero": (lambda: TargetFunction.radial(()),),
+    "geometric": (lambda: TargetFunction.radial_fn(lambda d: Fraction(1, 2**d)),),
+    "radial": (TargetFunction.radial, "coeffs"), "sparse": (TargetFunction.sparse, "entries"),
+}
+_WEIGHTS = {
+    "zero": (LambdaField.zero,), "constant": (LambdaField.constant, "value"),
+    "distance": (LambdaField.distance,), "map": (LambdaField.from_map, "entries"),
+}
+
+
+def _from_json(spec: dict, kinds: dict, what: str):
+    """Build the spec's kind from ``kinds`` once the spec gives no field that kind does not read.
+
+    A weight's sign check in `exactlap.operators` raises ValueError, which reads as a spec error here.
+    """
     kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in fields:
+    if not isinstance(kind, str) or kind not in kinds:
         raise SpecFormatError(f"unknown {what} kind {kind!r}")
-    unread = [k for k in spec if k != "kind" and k not in fields[kind]]
+    build, *fields = kinds[kind]
+    unread = [k for k in spec if k != "kind" and k not in fields]
     if unread:
         raise SpecFormatError(f"{what} kind {kind!r} does not read field {unread[0]!r}")
-    return kind
+    args = [_READERS[field](spec, f"{kind} {what}") for field in fields]
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise SpecFormatError(str(e)) from None
 
 
 def target_from_json(spec: dict) -> TargetFunction:
@@ -46,19 +79,7 @@ def target_from_json(spec: dict) -> TargetFunction:
     list); {"kind":"sparse","entries":{"id":"p/q",...}} keyed by vertex id.
     Any other key fails.
     """
-    kind = _kind(spec, _TARGET_FIELDS, "target")
-    if kind == "delta":
-        return TargetFunction.delta()
-    if kind == "zero":
-        return TargetFunction.radial(())
-    if kind == "geometric":
-        return TargetFunction.radial_fn(lambda d: Fraction(1, 2**d))
-    if kind == "radial":
-        coeffs = spec.get("coeffs")
-        if not isinstance(coeffs, list):
-            raise SpecFormatError("radial target requires a 'coeffs' list")
-        return TargetFunction.radial([parse_fraction(c) for c in coeffs])
-    return TargetFunction.sparse(_vertex_entries(spec, "sparse target"))  # sparse, the one kind left
+    return _from_json(spec, _TARGETS, "target")
 
 
 def target_from_text(text: str) -> TargetFunction:
@@ -78,14 +99,6 @@ def target_from_text(text: str) -> TargetFunction:
     return target_from_json(_load_spec_text(text, "target"))
 
 
-def _weight(build, data) -> LambdaField:
-    """``build(data)``, whose sign check in `exactlap.operators` reads as a spec error here."""
-    try:
-        return build(data)
-    except ValueError as e:
-        raise SpecFormatError(str(e)) from None
-
-
 def lambda_from_json(spec: dict) -> LambdaField:
     """Build a diagonal weight from its canonical JSON description.
 
@@ -93,16 +106,7 @@ def lambda_from_json(spec: dict) -> LambdaField:
     {"kind":"distance"}; {"kind":"map","entries":{"id":"p/q",...}}.  Any
     other key fails.
     """
-    kind = _kind(spec, _WEIGHT_FIELDS, "weight")
-    if kind == "zero":
-        return LambdaField.zero()
-    if kind == "constant":
-        if "value" not in spec:
-            raise SpecFormatError("constant weight requires a 'value'")
-        return _weight(LambdaField.constant, parse_fraction(spec["value"]))
-    if kind == "distance":
-        return LambdaField.distance()
-    return _weight(LambdaField.from_map, _vertex_entries(spec, "map weight"))  # map, the one kind left
+    return _from_json(spec, _WEIGHTS, "weight")
 
 
 def lambda_from_text(text: str) -> LambdaField:

@@ -27,10 +27,10 @@ from exactlap.direct import Certificate, solve_on_ball
 from exactlap.errors import SingularSystem, SpecFormatError
 from exactlap.flags import MODES, SCHEMA_HELP
 from exactlap.functions import BallFunction, TargetFunction
-from exactlap.graphs import enumerate_ball, grid_oracle
+from exactlap.graphs import _FAMILIES, enumerate_ball, grid_oracle
 from exactlap.linalg import AffineSubspace
 from exactlap.operators import LambdaField
-from exactlap.serialize import lambda_from_json, target_from_json
+from exactlap.serialize import _TARGETS, _WEIGHTS, lambda_from_json, target_from_json
 from exactlap.specs import graph_spec_from_text
 from exactlap.wire import ball_function_from_json, format_fraction, parse_fraction
 
@@ -325,6 +325,25 @@ def test_chain_on_unsolvable_finite_graph_flags_empty_set(capsys):
     assert report["images"][-1]["dim"] is None
 
 
+def test_chain_reports_an_empty_image_on_an_infinite_graph_as_coherent_mode_does(capsys, monkeypatch):
+    """Every chain image on z is nonempty, so an empty one is an anomaly in
+    both modes; before, chain mode exited 0 with "universal_set_empty"."""
+    monkeypatch.setattr(chain_module, "solution_image", lambda a, b, k: AffineSubspace.empty(k))
+    argv = ["--graph", "z", "--radius", "0", "--max-m", "5"]
+    chain = invoke(capsys, ["--mode", "chain", *argv])
+    coherent = invoke(capsys, ["--mode", "coherent", *argv])
+    for mode, (code, out, err) in (("chain", chain), ("coherent", coherent)):
+        assert code == EXIT_ANOMALY
+        assert json.loads(out) == {"mode": mode, "level": 0, "status": "no_universal_element",
+                                   "unsolvable_expected_finite": False}
+        assert err.startswith("anomaly: stabilized image at level 0 is empty; ")
+    assert chain[2] == coherent[2]
+    monkeypatch.undo()
+    code, out, err = invoke(capsys, ["--graph", "c4", "--mode", "chain", "--radius", "0", "--max-m", "5"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["universal_set_empty"] is True
+
+
 def test_coherent_mode_emits_coherent_family(capsys):
     code, out, _ = invoke(
         capsys,
@@ -586,6 +605,25 @@ def test_graph_spec_field_the_family_does_not_read_exits_3(capsys, spec, key):
 )
 def test_target_and_weight_fields_their_kind_does_not_read_exit_3(capsys, flag, spec, message):
     # before, the extra field was silently ignored
+    code, out, err = invoke(capsys, ["--graph", "z", "--mode", "ball", "--radius", "1", flag, spec])
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
+
+
+ENTRIES = "requires an 'entries' object keyed by vertex id"
+
+
+@pytest.mark.parametrize(
+    "flag, spec, message",
+    [("--target", '{"kind":"radial"}', "radial target requires a 'coeffs' list"),
+     ("--target", '{"kind":"radial","coeffs":"12"}', "radial target requires a 'coeffs' list"),
+     ("--lambda", '{"kind":"constant"}', "constant weight requires a 'value'"),
+     ("--lambda", '{"kind":"constant","value":null}', "not a rational literal: None"),
+     ("--target", '{"kind":"sparse"}', f"sparse target {ENTRIES}"),
+     ("--target", '{"kind":"sparse","entries":[]}', f"sparse target {ENTRIES}"),
+     ("--lambda", '{"kind":"map"}', f"map weight {ENTRIES}"),
+     ("--lambda", '{"kind":"map","entries":[]}', f"map weight {ENTRIES}")],
+)
+def test_a_missing_or_wrong_typed_field_exits_3_naming_its_kind(capsys, flag, spec, message):
     code, out, err = invoke(capsys, ["--graph", "z", "--mode", "ball", "--radius", "1", flag, spec])
     assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
 
@@ -1041,6 +1079,20 @@ def test_help_and_usage_do_not_rewrap(capsys, monkeypatch):
     usage = HELP_TEXT[: HELP_TEXT.index("\n\n") + 1]
     assert code == EXIT_USAGE
     assert err == f"{usage}error: argument --mode: invalid choice: 'nonsense' (choose from {CHOICES})\n{SCHEMA_HELP}\n"
+
+
+@pytest.mark.parametrize(
+    "section, next_section, key, table",
+    [("--graph", "--target", "family", _FAMILIES), ("--target", "--lambda", "kind", _TARGETS),
+     ("--lambda", "rationals", "kind", _WEIGHTS)],
+    ids=["graph", "target", "weight"],
+)
+def test_the_schema_help_shows_every_kind_and_the_fields_it_reads(section, next_section, key, table):
+    text = SCHEMA_HELP[SCHEMA_HELP.index(f"  {section}  ") : SCHEMA_HELP.index(f"  {next_section} ")]
+    for name, (_, *fields) in table.items():
+        start = text.index(f'{{"{key}":"{name}"')
+        form = re.split(r" \| |\n", text[start:])[0]
+        assert [f for f in fields if f'"{f}":' not in form] == [], form
 
 
 INT_FLAGS = ["--radius", "--max-m", "--window", "--seed"]

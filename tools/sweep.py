@@ -44,12 +44,14 @@ BAD_TARGETS = [
     '{"kind":"sparse","entries":[]}', '{"kind":"sparse","entries":{"x":"1"}}',
     '{"kind":"sparse","entries":{"1":"1","01":"2"}}', '{"kind":"sparse","entries":{"1":1.5}}',
     '{"kind":"nope"}', "missing.json", "list.json", "{not json",
+    '{"kind":"geometric","ratio":"1/3"}', '{"kind":"radial","coeffs":"12"}',
 ]
 BAD_WEIGHTS = [
     "-1", "-2/3", "1.5", '{"kind":"constant"}', '{"kind":"constant","value":"-1/2"}',
     '{"kind":"map"}', '{"kind":"map","entries":"0"}', '{"kind":"map","entries":{"0":"-1"}}',
     '{"kind":"map","entries":{"a":"1"}}', '{"kind":"map","entries":{"2":"1","002":"1"}}',
-    '{"kind":"nope"}', "missing.json",
+    '{"kind":"nope"}', "missing.json", '{"kind":"constant","value":"2","valeu":"3"}',
+    '{"kind":"constant","value":null}', '{"kind":"zero","entries":{}}',
 ]
 BAD_GRAPHS = [
     "", "tree1", "free27", "c2", "nope", '{"family":"ladder","widht":3}',
