@@ -26,6 +26,8 @@ from .oracle import Ball, GraphOracle, enumerate_ball
 from .record import Record
 from .subspace import AffineSubspace, solution_image
 
+__all__ = ("ChainState", "run_chain")
+
 
 def _dim_rank(s: AffineSubspace) -> int:
     # orders the empty set below every genuine dimension

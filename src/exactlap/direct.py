@@ -25,6 +25,11 @@ from .oracle import GraphOracle, enumerate_ball
 from .record import Record
 from .subspace import AffineSubspace
 
+__all__ = (
+    "Certificate", "SolveReport", "affine_solution_set", "max_principle_certificate",
+    "prodiscrete_distance", "solve_on_ball",
+)
+
 BALL_CONSTRUCTION = "ball"
 
 

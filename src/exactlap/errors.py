@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = (
+    "BadFamilyParameter", "BadRadii", "ChainViolation", "DimensionMismatch", "EmptyUniversalSet",
+    "ExactLapError", "GraphSpecError", "InsufficientDomain", "LiftFailed", "NotStabilized",
+    "OracleInconsistent", "SingularSystem", "SpecFormatError", "VertexBudgetExceeded",
+)
+
 
 class ExactLapError(Exception):
     """Base class for all errors raised by this package."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 from .errors import BadFamilyParameter
 from .oracle import GraphOracle
 
+__all__ = ("free_group_oracle", "grid_oracle", "ladder_oracle", "line_oracle", "tree_oracle")
+
 
 def line_oracle() -> GraphOracle:
     """Integer line; neighbors of k are (k-1, k+1)."""

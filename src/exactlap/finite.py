@@ -13,6 +13,8 @@ from . import oracle as oracle_module
 from .errors import BadFamilyParameter, GraphSpecError, VertexBudgetExceeded
 from .oracle import GraphOracle, enumerate_ball
 
+__all__ = ("custom_oracle", "cycle_oracle", "path_oracle")
+
 
 def cycle_oracle(size: int) -> GraphOracle:
     """Finite cycle; neighbors of i are ((i-1) mod size, (i+1) mod size)."""

@@ -18,6 +18,8 @@ from .matrix import Vector
 from .oracle import Ball, GraphOracle
 from .record import Record
 
+__all__ = ("BallFunction", "TargetFunction")
+
 
 class BallFunction(Record):
     """A rational-valued function on a ball, stored in canonical vertex order."""

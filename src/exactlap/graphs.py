@@ -15,6 +15,8 @@ from .families import free_group_oracle, grid_oracle, ladder_oracle, line_oracle
 from .finite import custom_oracle, cycle_oracle, path_oracle
 from .oracle import GraphOracle, enumerate_ball
 
+__all__ = ("family_oracle", "validate_oracle")
+
 
 def validate_oracle(oracle: GraphOracle, probe_radius: int) -> None:
     """Check the standing hypotheses on all vertices within the probe radius.

@@ -30,6 +30,8 @@ from .kernel import _eliminate
 from .matrix import RationalMatrix
 from .subspace import AffineSubspace, solution_image
 
+__all__ = ("affine_subset", "determinant", "solve_exact", "subspace_equal")
+
 
 def determinant(a: RationalMatrix) -> Fraction:
     """Exact determinant: the signed product of the sparse kernel's pivots."""

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 
+__all__ = ("RationalMatrix",)
+
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)

@@ -30,6 +30,10 @@ from .functions import BallFunction, TargetFunction, VertexField
 from .matrix import RationalMatrix
 from .oracle import Ball, GraphOracle, enumerate_ball
 
+__all__ = (
+    "LambdaField", "apply_laplacian", "restricted_operator_matrix", "truncated_operator_matrix",
+)
+
 
 class LambdaField(VertexField):
     """Nonnegative vertex weight added to the diagonal of the operator."""

@@ -22,6 +22,8 @@ from collections.abc import Callable, Hashable, Iterable
 from .errors import VertexBudgetExceeded
 from .record import Record
 
+__all__ = ("Ball", "GraphOracle", "enumerate_ball")
+
 # about 69 times the 1,457 vertices (free2, B_6) that the test suite
 # discovers at most, so free2 at radius 8 (39,365 with B_9) still fits
 VERTEX_BUDGET = 100_000

@@ -28,6 +28,8 @@ from .operators import LambdaField
 from .oracle import GraphOracle, enumerate_ball
 from .record import Record
 
+__all__ = ("CoherentResult", "coherent_solution", "universal_element")
+
 COHERENT_CONSTRUCTION = "ml"
 
 

@@ -25,6 +25,8 @@ from .kernel import _eliminate
 from .matrix import RationalMatrix, Vector
 from .readoff import _read_off
 
+__all__ = ("AffineSubspace", "solution_image")
+
 _ONE = Fraction(1)
 
 

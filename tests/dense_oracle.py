@@ -61,10 +61,12 @@ def rref(vectors: Sequence[Sequence[Fraction]], ambient: int) -> tuple[list[list
         piv = rows[r][c]
         if piv != 1:
             rows[r] = [x / piv for x in rows[r]]
+        nonzeros = [(j, x) for j, x in enumerate(rows[r]) if x]  # the zeros change nothing
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                coef = rows[i][c]
-                rows[i] = [a - coef * b for a, b in zip(rows[i], rows[r])]
+                row, coef = rows[i], rows[i][c]
+                for j, x in nonzeros:
+                    row[j] -= coef * x
         pivots.append(c)
         r += 1
     return rows[:r], pivots

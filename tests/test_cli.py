@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import full_space
 from exactlap.chain import ChainState
 from exactlap.cli import (
     EXIT_ANOMALY,
@@ -344,6 +345,22 @@ def test_chain_reports_an_empty_image_on_an_infinite_graph_as_coherent_mode_does
     assert json.loads(out)["universal_set_empty"] is True
 
 
+def test_chain_reports_an_image_that_changed_without_losing_dimension(capsys, monkeypatch):
+    """A whole-space image after the first depth has changed but not shrunk;
+    the nesting check behind would catch it under another message."""
+    real = chain_module.solution_image
+    calls = []
+
+    def whole_space_after_the_first(a, b, k):
+        calls.append(k)
+        return real(a, b, k) if len(calls) == 1 else full_space(k)
+
+    monkeypatch.setattr(chain_module, "solution_image", whole_space_after_the_first)
+    code, out, err = invoke(capsys, ["--mode", "chain", "--graph", "z", "--radius", "1"])
+    assert (code, out) == (EXIT_ANOMALY, "")
+    assert err == "anomaly: image dimension did not drop where it changed at depth 2\n"
+
+
 def test_coherent_mode_emits_coherent_family(capsys):
     code, out, _ = invoke(
         capsys,
@@ -520,6 +537,9 @@ def test_usage_errors_exit_64(capsys, argv):
     assert "input schemas" in err
 
 
+CUSTOM_ROOT_5 = '{"family":"custom","vertices":3,"edges":[[0,1],[1,2]],"root":5}'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -558,6 +578,8 @@ def test_usage_errors_exit_64(capsys, argv):
         ["--graph", "z", "--target", "radial:1,,2", "--mode", "ball", "--radius", "1"],
         ["--graph", "z", "--target", "radial:,1", "--mode", "ball", "--radius", "1"],
         ["--graph", "z", "--target", "radial:1,", "--mode", "ball", "--radius", "1"],
+        # a root that is not a vertex
+        ["--graph", CUSTOM_ROOT_5, "--mode", "ball", "--radius", "1"],
     ],
 )
 def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
@@ -568,6 +590,12 @@ def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
     assert out == ""
     assert "invalid input" in err
     assert [p.name for p in tmp_path.iterdir()] == ["latin1.json"]  # nothing written
+
+
+def test_a_custom_root_outside_the_graph_exits_3(capsys):
+    # without the range check the request ends in an IndexError traceback
+    code, out, err = invoke(capsys, ["--graph", CUSTOM_ROOT_5, "--mode", "ball", "--radius", "1"])
+    assert (code, out, err) == (EXIT_INVALID, "", "invalid input: root 5 outside 0..2\n")
 
 
 @pytest.mark.parametrize(

@@ -315,6 +315,11 @@ def test_validate_detects_isolated_root():
         validate_oracle(GraphOracle(0, lambda k: []), 0)
 
 
+def test_validate_rejects_a_negative_probe_radius():
+    with pytest.raises(ValueError, match="^probe radius must be nonnegative$"):
+        validate_oracle(line_oracle(), -1)
+
+
 def test_validate_flags_unstable_neighbor_function():
     calls = {"n": 0}
 

@@ -323,3 +323,19 @@ def test_matrix_basics():
     assert (zeros.rows, zeros.cols) == (2, 3)
     with pytest.raises(DimensionMismatch):
         m.mul_vec([Fraction(1)])
+    assert repr(zeros) == "RationalMatrix(2x3)"
+
+
+def test_subspace_rejects_a_point_or_spanning_vector_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="^particular point has wrong length$"):
+        AffineSubspace(3, [Fraction(1), Fraction(2)])
+    with pytest.raises(DimensionMismatch, match="^spanning vector has wrong length$"):
+        AffineSubspace(3, span=[[1, 0, 0], [1, 0]])
+
+
+def test_subspace_equality_with_other_types_and_repr():
+    line = AffineSubspace(3, [Fraction(1), Fraction(0), Fraction(0)], [[0, 1, 1]])
+    assert (line == object()) is False
+    assert line != (1, 0, 0)
+    assert repr(line) == "AffineSubspace(dim 1 in Q^3)"
+    assert repr(AffineSubspace.empty(2)) == "AffineSubspace(empty in Q^2)"

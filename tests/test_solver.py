@@ -198,6 +198,11 @@ def test_negative_radius_rejected():
         solve_on_ball(line_oracle(), DELTA, -1, LAM0)
 
 
+def test_negative_radius_rejected_by_the_solution_set():
+    with pytest.raises(BadRadii, match="^radius must be nonnegative$"):
+        affine_solution_set(line_oracle(), DELTA, -1, LAM0)
+
+
 def test_random_nonzero_functions_have_nonzero_image():
     # injectivity of the truncation, probed at random
     rng = random.Random(11)
