@@ -37,12 +37,16 @@ class BallFunction(Record):
         """Restriction to a smaller ball is literally a prefix of the values."""
         if smaller.radius > self.ball.radius:
             raise BadRadii(f"cannot restrict radius {self.ball.radius} to {smaller.radius}")
+        if smaller.oracle is not self.ball.oracle:
+            raise DimensionMismatch("balls come from different oracles")
         return BallFunction(smaller, self.values[: smaller.size])
 
     def extend_zero(self, larger: Ball) -> "BallFunction":
         """Extension by zero to a larger ball."""
         if larger.radius < self.ball.radius:
             raise BadRadii(f"cannot extend radius {self.ball.radius} to {larger.radius}")
+        if larger.oracle is not self.ball.oracle:
+            raise DimensionMismatch("balls come from different oracles")
         pad = (Fraction(0),) * (larger.size - self.ball.size)
         return BallFunction(larger, self.values + pad)
 

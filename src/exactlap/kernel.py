@@ -8,7 +8,8 @@ coordinates (see `exactlap.linalg`):
 * rows are scaled to integers once and kept primitive (the gcd of each
   updated row is divided out, its scale kept for the determinant), so an
   update is an integer cross-multiplication of just the rows that meet
-  the pivot column;
+  the pivot column; that update is the one row operation of the package,
+  `_clear`, which works in place and which the back pass uses too;
 * the columns are taken in one order, from the right, which is BFS order
   reversed: a tree or free group loses its leaves first with no fill-in
   at all, the line its endpoints, and a lattice is swept from its outer
@@ -27,7 +28,8 @@ coordinates (see `exactlap.linalg`):
   and each later pivot sits at its row's rightmost column.
 
 The back pass that reads a canonical set off the result is in
-`exactlap.readoff`.
+`exactlap.readoff`; it clears the pivot rows of the result with `_clear`,
+in place, so it consumes the rows it reads.
 """
 
 from __future__ import annotations
@@ -37,6 +39,37 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .matrix import RationalMatrix
+
+
+def _clear(r: dict[int, int], q: dict[int, int], c: int) -> tuple[int, int, list[int]]:
+    """Clear column ``c`` of the primitive integer row ``r``, in place, by a multiple of ``q``.
+
+    With ``t = r[c] * s / q[c]``, ``r`` becomes ``(s * r - t * q) / g``:
+    ``s`` is the least factor that makes ``t`` an integer, and ``g`` is
+    the content of ``s * r - t * q`` (1 if it is zero), so ``r`` stays
+    primitive or becomes empty.  Zeros are dropped.  Returns
+    ``(s, g, gained)``, ``gained`` the columns ``r`` did not hold before.
+    """
+    g = math.gcd(q[c], r[c])
+    s, t = q[c] // g, r.pop(c) // g
+    if s != 1:
+        for j in r:
+            r[j] *= s
+    gained = []
+    for j, x in q.items():
+        if j != c:
+            y = r.get(j, 0) - t * x
+            if y:
+                if j not in r:
+                    gained.append(j)
+                r[j] = y
+            elif j in r:
+                del r[j]
+    g = math.gcd(*r.values()) or 1
+    if g > 1:
+        for j in r:
+            r[j] //= g
+    return s, g, gained
 
 
 def _eliminate(
@@ -56,8 +89,11 @@ def _eliminate(
     ``rows[i] * num[i] / den[i]``; and the ``(row, column)`` pivots in
     elimination order.  A pivot row keeps only columns pivoted later or
     never; a row that never pivots keeps its right-hand side at most.
+    Every row is a new dict, so the caller's matrix is never written, and
+    every update is one `_clear`, whose factors go into ``den`` and
+    ``num`` and whose gained columns into the candidate lists.
     """
-    ncols, gcd = a.cols, math.gcd
+    ncols = a.cols
     rows, num, den = [], [], []
     # column -> rows that gained a nonzero there; stale entries are skipped when it comes up
     col_rows: list[list[int]] = [[] for _ in range(ncols)]
@@ -68,7 +104,7 @@ def _eliminate(
             r = {**r, ncols: Fraction(rhs[i])}
         scale = math.lcm(*(x.denominator for x in r.values()))
         ints = {j: x.numerator * (scale // x.denominator) for j, x in r.items()}
-        g = gcd(*ints.values()) or 1
+        g = math.gcd(*ints.values()) or 1
         rows.append({j: x // g for j, x in ints.items()})
         num.append(g)
         den.append(scale)
@@ -80,29 +116,13 @@ def _eliminate(
             continue  # rank loss: no row left with a nonzero here
         p = min(active, key=lambda i: (len(rows[i]) - (ncols in rows[i]), i))
         done[p] = 1
-        piv = rows[p][c]
-        rest = [(j, x) for j, x in rows[p].items() if j != c]
         active.discard(p)
         for i in active:
-            r = rows[i]
-            g = gcd(piv, r[c])
-            s, t = piv // g, r.pop(c) // g
-            if s != 1:
-                for j in r:
-                    r[j] *= s
-                den[i] *= s
-            for j, x in rest:
-                y = r.get(j, 0) - t * x
-                if y:
-                    if j not in r and j < ncols:  # fill; the right-hand side has no list
-                        col_rows[j].append(i)
-                    r[j] = y
-                elif j in r:
-                    del r[j]
-            g = gcd(*r.values())
-            if g > 1:
-                for j in r:
-                    r[j] //= g
-                num[i] *= g
+            s, g, gained = _clear(rows[i], rows[p], c)
+            den[i] *= s
+            num[i] *= g
+            for j in gained:
+                if j < ncols:  # fill; the right-hand side has no list
+                    col_rows[j].append(i)
         pivots.append((p, c))
     return rows, pivots, num, den

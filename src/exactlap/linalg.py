@@ -15,7 +15,10 @@ pivot are exactly the reduced-echelon pivot columns.  `solve_exact` is
 `solution_image` on all of the coordinates, one elimination for every
 shape and rank, and `AffineSubspace` reads a point plus a spanning set
 off `solution_image` too, so `_eliminate` is the only code that chooses
-pivots and `_read_off` the only one that back-reduces.  `image_under_map`
+pivots and `_read_off` the only one that back-reduces.  Both combine rows
+through the kernel's one integer row operation, `_clear`, in place:
+`_read_off` consumes the rows of the elimination it reads, and
+`solution_image` hands it a fresh one each time.  `image_under_map`
 and the `AffineSubspace.from_point` wrap in `solve_exact` are kept for the
 benchmark's tracer only; nothing in the package calls the former.
 """

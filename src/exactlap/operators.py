@@ -77,6 +77,8 @@ def apply_laplacian(oracle: GraphOracle, f: BallFunction, lam: LambdaField) -> B
     oracle, independent of any matrix assembly; `solves` relies on that
     independence.
     """
+    if f.ball.oracle is not oracle:
+        raise DimensionMismatch("function lives on a different graph")
     m = f.ball.radius
     if m < 1:
         raise InsufficientDomain("need values on a ball of radius >= 1")

@@ -1,36 +1,21 @@
 """The back pass: reading a canonical affine set off an `_eliminate` result.
 
-`_combine` clears one column of a row by a multiple of another, and
-`_read_off` uses it to clear each pivot row of the pivot columns taken
-after it.  `exactlap.subspace.solution_image` wraps what it reads off in
-an `AffineSubspace`.
+`_read_off` clears each pivot row of the pivot columns taken after it
+with the kernel's one row operation, `exactlap.kernel._clear`, in place
+on the rows of the elimination it is given, which it consumes.
+`exactlap.subspace.solution_image` wraps what it reads off in an
+`AffineSubspace`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
+from .kernel import _clear
 from .matrix import Vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _combine(r: dict[int, int], q: dict[int, int], c: int) -> dict[int, int]:
-    """Row ``r`` with column ``c`` cleared by a multiple of ``q``, as a primitive integer row."""
-    g = math.gcd(q[c], r[c])
-    s, t = q[c] // g, r[c] // g
-    out = {j: s * x for j, x in r.items() if j != c}
-    for j, x in q.items():
-        if j != c:
-            y = out.get(j, 0) - t * x
-            if y:
-                out[j] = y
-            else:
-                out.pop(j, None)
-    g = math.gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
 def _read_off(
@@ -42,8 +27,12 @@ def _read_off(
     an `AffineSubspace`, or None when the set is empty.  ``n`` is the
     right-hand side key.  A row left without a pivot that keeps a
     right-hand side makes the set empty.  Each pivot row below ``k`` is
-    cleared of the pivot columns taken after it, latest first, which leaves
-    it with its pivot, columns that never pivot, and its right-hand side.
+    cleared of the pivot columns taken after it by `_clear`, in place,
+    which leaves it with its pivot, columns that never pivot, and its
+    right-hand side.  The rows are consumed: they no longer hold what
+    `_eliminate` returned, and no other reader may use them, except
+    `_read_off` itself at another prefix, since a row it has cleared has
+    nothing left to clear and still stands for the same equation.
     The kernel takes every column from the right, so the unknowns from
     ``k`` on were pivoted first and the columns below ``k`` that never
     pivot are the reduced-echelon pivot columns of the direction space: the
@@ -59,8 +48,8 @@ def _read_off(
     for p, c in reversed(pivots):
         if c < k:
             r = rows[p]
-            for q in [j for j in r if j in pivot_rows]:
-                r = _combine(r, pivot_rows[q], q)
+            for j in [j for j in r if j in pivot_rows]:
+                _clear(r, pivot_rows[j], j)
             pivot_rows[c] = r
     free = [j for j in range(k) if j not in pivot_rows]
     particular = [_ZERO] * k

@@ -8,7 +8,10 @@ what stabilization detection in the solver relies on.
 
 `solution_image` is the one code that reads a set off an elimination: it
 runs the one elimination kernel (`exactlap.kernel`) and the one back pass
-(`exactlap.readoff`) and wraps what they cut out.  A point plus a
+(`exactlap.readoff`) and wraps what they cut out.  Both reduce rows with
+the kernel's one integer row operation, `_clear`, in place; the back pass
+consumes the rows it reads, so each call eliminates afresh, and neither
+writes the caller's matrix or right-hand side.  A point plus a
 spanning set is put in canonical form as such an image.
 `AffineSubspace.member` is the only code that reads the canonical form as
 a parametrisation of the set: membership tests, the subset test and the
@@ -146,7 +149,8 @@ def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSu
     from the others) or free, so the rows left without a pivot, which
     involve only the first ``k`` unknowns, cut out the image exactly.
     The first ``k`` columns follow, still from the right, and `_read_off`
-    writes the canonical form down.
+    writes the canonical form down, consuming the rows of this call's own
+    elimination.
     """
     if a.rows != len(b):
         raise DimensionMismatch(

@@ -10,9 +10,12 @@ their images under a map, are compared with the oracle's own reduced row
 echelon form, and the levels of `coherent_solution` with the former pinned
 lift.  Structural checks, with no oracle, assert the canonical form of
 every image itself, the order in which the kernel takes its pivots, the
-absence of fill on trees and the kernel's traced peak memory.
+absence of fill on trees and the kernel's traced peak memory; the one
+integer row operation is checked against its defining identity, and one
+elimination, consumed by the back pass, against a fresh one per prefix.
 """
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -44,7 +47,7 @@ from exactlap.graphs import (
     path_oracle,
     tree_oracle,
 )
-from exactlap.kernel import _eliminate
+from exactlap.kernel import _clear, _eliminate
 from exactlap.linalg import (
     AffineSubspace,
     affine_subset,
@@ -59,6 +62,7 @@ from exactlap.operators import (
     restriction_matrix,
     truncated_operator_matrix,
 )
+from exactlap.readoff import _read_off
 from exactlap.solver import coherent_solution
 
 import exactlap.solver as solver_module
@@ -305,6 +309,64 @@ def test_member_parametrises_the_canonical_form(case):
     # when ``drawn`` is a direction of s
     line = AffineSubspace(n, point, [drawn])
     assert affine_subset(line, s) == dense_contains([Fraction(0)] * n, span, drawn)
+
+
+# --- the one row operation and the back pass that consumes its rows ---------
+
+small_int = st.integers(-30, 30).filter(bool)
+int_row = st.dictionaries(st.integers(0, 7), small_int, max_size=6)
+
+
+@st.composite
+def clear_case(draw):
+    """A primitive integer row ``r`` and a row ``q``, both nonzero at column ``c``."""
+    c = draw(st.integers(0, 7))
+    r = {**draw(int_row), c: draw(small_int)}
+    g = math.gcd(*r.values())
+    return {j: x // g for j, x in r.items()}, {**draw(int_row), c: draw(small_int)}, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(clear_case())
+def test_the_row_operation_clears_its_column_and_keeps_the_row_primitive(case):
+    old, q, c = case
+    q_before = dict(q)
+    r = dict(old)
+    s, g, gained = _clear(r, q, c)
+    assert c not in r and 0 not in r.values()
+    assert math.gcd(*r.values()) in (0, 1)  # primitive, or empty
+    assert g >= 1 and q == q_before
+    t = Fraction(old[c] * s, q[c])
+    assert t.denominator == 1
+    for j in (set(old) | set(q)) - {c}:
+        assert g * r.get(j, 0) == s * old.get(j, 0) - t * q.get(j, 0)
+    assert sorted(gained) == sorted(set(r) - set(old))
+
+
+@settings(max_examples=200, deadline=None)
+@given(image_case())
+def test_solution_image_leaves_its_inputs_as_they_were(case):
+    rows, b, k = case
+    a = dense_matrix(rows)
+    a_rows, b_before = [dict(r) for r in a.sparse_rows], list(b)
+    first = solution_image(a, b, k)
+    assert [dict(r) for r in a.sparse_rows] == a_rows and b == b_before
+    second = solution_image(a, b, k)
+    assert_same_subspace(second, first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(image_case(), st.booleans())
+def test_one_elimination_serves_every_prefix(case, decreasing):
+    """The back pass clears pivot rows in place, yet one elimination read
+    at every prefix, in increasing or decreasing order, gives the sets of a
+    fresh elimination per prefix."""
+    rows, b, _ = case
+    a = dense_matrix(rows)
+    reduced, pivots, _, _ = _eliminate(a, b)
+    prefixes = range(a.cols, -1, -1) if decreasing else range(a.cols + 1)
+    for k in prefixes:
+        assert _read_off(reduced, pivots, a.cols, k) == _read_off(*_eliminate(a, b)[:2], a.cols, k)
 
 
 def test_image_prefix_bounds():

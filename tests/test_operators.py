@@ -241,6 +241,34 @@ def test_ball_function_shape_errors():
         f.extend_zero(enumerate_ball(oracle, 0))
 
 
+def _on_the_line_and_on_z2():
+    """The line and z2, a function on the line's B_2 and one on z2's B_2."""
+    line, grid = line_oracle(), grid_oracle(2)
+    f = BallFunction(enumerate_ball(line, 2), tuple(Fraction(k) for k in range(5)))
+    g = BallFunction(enumerate_ball(grid, 2), tuple(Fraction(k) for k in range(13)))
+    return line, grid, f, g
+
+
+def test_apply_laplacian_rejects_a_function_on_another_graph():
+    # without the check the line reads z2's values silently, and z2 reads past the line's
+    line, grid, f, g = _on_the_line_and_on_z2()
+    for oracle, h in ((line, g), (grid, f)):
+        with pytest.raises(DimensionMismatch, match="^function lives on a different graph$"):
+            apply_laplacian(oracle, h, LambdaField.zero())
+
+
+def test_restrict_rejects_a_ball_of_another_graph():
+    _, grid, f, _ = _on_the_line_and_on_z2()
+    with pytest.raises(DimensionMismatch, match="^balls come from different oracles$"):
+        f.restrict(enumerate_ball(grid, 0))
+
+
+def test_extend_zero_rejects_a_ball_of_another_graph():
+    _, grid, f, _ = _on_the_line_and_on_z2()
+    with pytest.raises(DimensionMismatch, match="^balls come from different oracles$"):
+        f.extend_zero(enumerate_ball(grid, 2))
+
+
 def test_label_items_pair_labels_with_values():
     oracle = line_oracle()
     ball = enumerate_ball(oracle, 1)
