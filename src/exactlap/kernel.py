@@ -35,36 +35,38 @@ in place, so it consumes the rows it reads.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .matrix import RationalMatrix
 
 
-def _clear(r: dict[int, int], q: dict[int, int], c: int) -> tuple[int, int, list[int]]:
-    """Clear column ``c`` of the primitive integer row ``r``, in place, by a multiple of ``q``.
+def _clear(r: dict[int, int], c: int, qc: int, rest: Iterable[tuple[int, int]]) -> tuple[int, int, list[int]]:
+    """Clear column ``c`` of the primitive integer row ``r``, in place, by a multiple of a pivot row.
 
-    With ``t = r[c] * s / q[c]``, ``r`` becomes ``(s * r - t * q) / g``:
+    The pivot row ``q`` is given as its entry ``qc`` at ``c`` and the
+    ``(column, entry)`` pairs ``rest`` of its other columns, so the loop
+    over ``rest`` never meets ``c``; the caller builds ``rest`` once per
+    pivot row, however many rows that row clears.  With ``t = r[c] * s / qc``, ``r`` becomes ``(s * r - t * q) / g``:
     ``s`` is the least factor that makes ``t`` an integer, and ``g`` is
     the content of ``s * r - t * q`` (1 if it is zero), so ``r`` stays
     primitive or becomes empty.  Zeros are dropped.  Returns
     ``(s, g, gained)``, ``gained`` the columns ``r`` did not hold before.
     """
-    g = math.gcd(q[c], r[c])
-    s, t = q[c] // g, r.pop(c) // g
+    g = math.gcd(qc, r[c])
+    s, t = qc // g, r.pop(c) // g
     if s != 1:
         for j in r:
             r[j] *= s
     gained = []
-    for j, x in q.items():
-        if j != c:
-            y = r.get(j, 0) - t * x
-            if y:
-                if j not in r:
-                    gained.append(j)
-                r[j] = y
-            elif j in r:
-                del r[j]
+    for j, x in rest:
+        y = r.get(j, 0) - t * x
+        if y:
+            if j not in r:
+                gained.append(j)
+            r[j] = y
+        elif j in r:
+            del r[j]
     g = math.gcd(*r.values()) or 1
     if g > 1:
         for j in r:
@@ -117,8 +119,10 @@ def _eliminate(
         p = min(active, key=lambda i: (len(rows[i]) - (ncols in rows[i]), i))
         done[p] = 1
         active.discard(p)
+        qc = rows[p][c]
+        rest = [(j, x) for j, x in rows[p].items() if j != c]
         for i in active:
-            s, g, gained = _clear(rows[i], rows[p], c)
+            s, g, gained = _clear(rows[i], c, qc, rest)
             den[i] *= s
             num[i] *= g
             for j in gained:

@@ -29,10 +29,12 @@ def _read_off(
     right-hand side makes the set empty.  Each pivot row below ``k`` is
     cleared of the pivot columns taken after it by `_clear`, in place,
     which leaves it with its pivot, columns that never pivot, and its
-    right-hand side.  The rows are consumed: they no longer hold what
-    `_eliminate` returned, and no other reader may use them, except
-    `_read_off` itself at another prefix, since a row it has cleared has
-    nothing left to clear and still stands for the same equation.
+    right-hand side.  A cleared row lends `_clear` its entries without its
+    pivot entry, which is put back at the end.  The rows are consumed:
+    they no longer hold what `_eliminate` returned, and no other reader
+    may use them, except `_read_off` itself at another prefix, since a row
+    it has cleared has nothing left to clear and still stands for the same
+    equation.
     The kernel takes every column from the right, so the unknowns from
     ``k`` on were pivoted first and the columns below ``k`` that never
     pivot are the reduced-echelon pivot columns of the direction space: the
@@ -44,22 +46,23 @@ def _read_off(
     pivoted = {p for p, _ in pivots}
     if any(r for i, r in enumerate(rows) if i not in pivoted):
         return None  # 0 = nonzero right-hand side
-    pivot_rows: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
+    pivot_rows: dict[int, tuple[int, dict[int, int]]] = {}  # pivot column -> pivot entry, rest of row
     for p, c in reversed(pivots):
         if c < k:
             r = rows[p]
             for j in [j for j in r if j in pivot_rows]:
-                _clear(r, pivot_rows[j], j)
-            pivot_rows[c] = r
+                _clear(r, j, pivot_rows[j][0], pivot_rows[j][1].items())
+            pivot_rows[c] = r.pop(c), r
     free = [j for j in range(k) if j not in pivot_rows]
     particular = [_ZERO] * k
     basis = {f: [_ZERO] * k for f in free}
     for f in free:
         basis[f][f] = _ONE
-    for c, r in pivot_rows.items():
+    for c, (qc, r) in pivot_rows.items():
         for j, x in r.items():
             if j == n:
-                particular[c] = Fraction(x, r[c])
-            elif j != c:
-                basis[j][c] = Fraction(-x, r[c])
+                particular[c] = Fraction(x, qc)
+            else:
+                basis[j][c] = Fraction(-x, qc)
+        r[c] = qc  # the pivot goes back, so the rows still read at any other prefix
     return tuple(particular), tuple(tuple(basis[f]) for f in free), tuple(free)

@@ -332,7 +332,7 @@ def test_the_row_operation_clears_its_column_and_keeps_the_row_primitive(case):
     old, q, c = case
     q_before = dict(q)
     r = dict(old)
-    s, g, gained = _clear(r, q, c)
+    s, g, gained = _clear(r, c, q[c], [(j, x) for j, x in q.items() if j != c])
     assert c not in r and 0 not in r.values()
     assert math.gcd(*r.values()) in (0, 1)  # primitive, or empty
     assert g >= 1 and q == q_before

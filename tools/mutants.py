@@ -9,8 +9,7 @@ naming the copy.  The mutant is killed when pytest reports a failed test
 (exit code 1); a pass, a usage error (a test id that is gone) or a
 collection error counts against it.  Nothing under ``src/`` is written.
 
-    python tools/mutants.py           # every entry
-    python tools/mutants.py NAME ...  # the named entries
+    python tools/mutants.py
 
 Prints one line per mutant and the kill count; exits 1 when a mutant
 survives or does not apply.  A surviving mutant marks a test still to
@@ -50,7 +49,7 @@ MUTANTS = (
     ),
     Mutant(
         "row operation leaves a gained column unreported", "kernel.py",
-        "                if j not in r:\n                    gained.append(j)\n",
+        "            if j not in r:\n                gained.append(j)\n",
         "",
         (KERNEL_TESTS + "test_the_row_operation_clears_its_column_and_keeps_the_row_primitive",),
     ),
@@ -140,20 +139,15 @@ def run(mutant: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     killed = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         outcome = run(mutant)
         killed += outcome == "killed"
         print(f"{outcome:12s} {mutant.module:13s} {mutant.name}", flush=True)
-    print(f"{killed} of {len(chosen)} mutants killed")
-    return 0 if killed == len(chosen) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
