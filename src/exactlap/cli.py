@@ -62,10 +62,8 @@ from .specs import graph_from_text
 from .wire import describe_lambda, dump_report
 
 
-def run_cli(argv: list[str] | None = None) -> int:
+def run_cli(argv: list[str]) -> int:
     """Parse flags, run the requested mode, print one JSON report."""
-    if argv is None:
-        argv = sys.argv[1:]
     degenerate = None  # a singular ball or empty stabilized image, reported like any outcome
     try:
         args = parse_flags(argv)

@@ -9,6 +9,7 @@ the usage, the error and the schema help on standard error.
 
 from __future__ import annotations
 
+import re
 import sys
 from types import SimpleNamespace
 
@@ -125,14 +126,6 @@ _FLAGS = {
 _OPTIONS = ("-h", "--help", *_FLAGS)
 
 
-def _negative_number(token: str) -> bool:
-    """``-7``, ``-7.5`` or ``-.5``: a token that starts with ``-`` but is a value."""
-    whole, dot, frac = token[1:].partition(".")
-    if not dot:
-        return whole.isdecimal()
-    return (whole == "" or whole.isdecimal()) and frac.isdecimal()
-
-
 def _classify(token: str) -> tuple[str | None, str | None] | None:
     """None for a value, else (flag, text after ``=`` or None); flag None if unknown."""
     if not token.startswith("-") or token == "-":
@@ -151,7 +144,8 @@ def _classify(token: str) -> tuple[str | None, str | None] | None:
             return matches[0], explicit
     elif token.startswith("-h"):  # -hh reads as -h -h
         return "-h", token[2:]
-    if _negative_number(token) or " " in token:
+    # argparse's negative-number pattern; its $ also matches before a final newline
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
         return None
     return None, None
 
@@ -161,12 +155,13 @@ def parse_flags(argv: list[str]) -> SimpleNamespace:
 
     Flags are long, given as ``--flag value`` or ``--flag=value``, and a
     unique prefix names its flag; the last of repeated flags wins.  A value
-    may start with ``-`` only if it is a negative number (or holds a space).
-    ``--`` and whatever follows it are never flags.  Tokens are read left to
-    right: ``-h`` prints the help and exits 0, and a bad value exits 64 at
-    once; an ambiguous prefix anywhere before ``--`` exits 64 before
-    anything else, and a missing ``--mode``, then tokens that no flag takes,
-    exit 64 at the end.
+    may start with ``-`` only if it holds a space or is a negative number by
+    argparse's pattern ``^-\\d+$|^-\\d*\\.\\d+$``, whose ``$`` also takes one
+    final newline.  ``--`` and whatever follows it are never flags.  Tokens
+    are read left to right: ``-h`` prints the help and exits 0, and a bad
+    value exits 64 at once; an ambiguous prefix anywhere before ``--`` exits
+    64 before anything else, and a missing ``--mode``, then tokens that no
+    flag takes, exit 64 at the end.
     """
     end = argv.index("--") if "--" in argv else len(argv)
     kinds = [_classify(token) for token in argv[:end]]

@@ -1126,7 +1126,7 @@ def test_the_schema_help_shows_every_kind_and_the_fields_it_reads(section, next_
 INT_FLAGS = ["--radius", "--max-m", "--window", "--seed"]
 
 
-@pytest.mark.parametrize("value", ["٢", "１", " 1_0", "1_0", "+1", " 1", "1 ", "0x1", "1.0", "", "-", "--1"])
+@pytest.mark.parametrize("value", ["٢", "１", " 1_0", "1_0", "+1", " 1", "1 ", "-7\n", "0x1", "1.0", "", "-", "--1"])
 @pytest.mark.parametrize("flag", INT_FLAGS)
 def test_integer_flags_take_ascii_decimal_only(capsys, flag, value):
     code, out, err = invoke(capsys, ["--mode", "chain", "--radius", "1", f"{flag}={value}"])
@@ -1156,7 +1156,9 @@ def test_integer_flags_take_leading_zeros_and_minus(capsys):
 
 
 # Tokens whose integer spellings int() and the CLI read alike; "--flag=--" is
-# left out, since argparse drops that "--" and leaves the flag a list.
+# left out, since argparse drops that "--" and leaves the flag a list, and so
+# is "-7\n", which int() reads as -7 (a negative number ending in a newline is
+# compared on the string flags below).
 GRAMMAR_TOKENS = [
     "--mode", "--mo", "--m", "--mode=ball", "--mode=", "--radius", "--rad", "--r=2",
     "--max-m", "--max", "--ma=1", "--window", "--w", "--graph", "--g=z", "--gr",
@@ -1164,7 +1166,7 @@ GRAMMAR_TOKENS = [
     "-h", "--help", "--he", "--help=", "--h=x", "-hh", "-hx", "-h=h", "-h=",
     "--", "--=x", "---x", "--bogus", "-x", "-",
     "ball", "chain", "fixtures", "nonsense", "z", "1", "-1", "007", "-0", "-.5", "-2.5",
-    "x", "", "-x y", "-1/2", "a=b",
+    "x", "", "-x y", "-1/2", "a=b", "-.5\n", "-7.5\n",
 ]
 
 
@@ -1194,6 +1196,25 @@ def test_flag_parse_matches_argparse(monkeypatch, argv):
         assert new_out.startswith("usage: exactlap ") and old_out.startswith("usage: exactlap ")
     else:
         assert (new_out, new_err) == (old_out, old_err)
+
+
+@pytest.mark.parametrize("token", ["-7\n", "-.5\n", "-7.5\n"])
+@pytest.mark.parametrize("flag", ["--target", "--lambda", "--out"])
+def test_a_negative_number_ending_in_a_newline_is_a_value_as_in_argparse(monkeypatch, flag, token):
+    """argparse's negative-number pattern ends in ``$``, which also matches before a final newline."""
+    from argparse_oracle import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in ([flag, token, "--mode", "ball"], ["--mode", "ball", flag, token]):
+        new = _parse_outcome(cli_module.parse_flags, argv)
+        assert new == _parse_outcome(build_parser().parse_args, argv)
+        assert new[0][0] == "values" and token in new[0][1].values()
+
+
+def test_a_target_ending_in_a_newline_reaches_the_spec_reader(capsys):
+    code, out, err = invoke(capsys, ["--mode", "ball", "--graph", "z", "--radius", "1", "--target", "-7\n"])
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("invalid input: unrecognized target spec '-7\\n'")
 
 
 def test_module_entry_point_runs_in_a_subprocess():

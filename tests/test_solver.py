@@ -491,6 +491,25 @@ def test_a_changed_image_that_does_not_shrink_is_a_violation(change, monkeypatch
         run_chain(line_oracle(), DELTA, 1, 6, 3, LAM0)
 
 
+def test_a_changed_image_outside_the_previous_one_is_a_violation(monkeypatch):
+    """A changed image of lower dimension must still lie in the previous image."""
+    real = chain_module.solution_image
+    seen = []
+
+    def outside(a, b, k):
+        img = real(a, b, k)
+        seen.append(img)
+        if len(seen) < 2:
+            return img
+        # the first image fixes coordinate 2 by coordinates 0 and 1, so this point misses it
+        return AffineSubspace(k, img.particular[:2] + (img.particular[2] + 1,) + img.particular[3:], ())
+
+    monkeypatch.setattr(chain_module, "solution_image", outside)
+    with pytest.raises(ChainViolation, match="^projection from depth 2 is not contained in the previous image$"):
+        run_chain(line_oracle(), DELTA, 1, 6, 3, LAM0)
+    assert seen[0].dim == 2
+
+
 def test_oracles_know_whether_their_graph_is_finite():
     finite = [cycle_oracle(5), path_oracle(4), custom_oracle(3, [[0, 1], [1, 2]])]
     infinite = [line_oracle(), grid_oracle(2), tree_oracle(3), ladder_oracle(2), free_group_oracle(2)]

@@ -108,6 +108,60 @@ MUTANTS = (
         ("tests/test_linalg.py::test_subspace_rejects_a_point_or_spanning_vector_of_the_wrong_length",),
     ),
     Mutant(
+        "chain misses an image outside the previous one", "chain.py",
+        "            if not affine_subset(img, prev):\n",
+        "            if False:\n",
+        ("tests/test_solver.py::test_a_changed_image_outside_the_previous_one_is_a_violation",),
+    ),
+    Mutant(
+        "finite chain stabilizes before its ball saturates", "chain.py",
+        "        if run_length >= window - 1 and (ball.boundary_saturated or not oracle.finite):\n",
+        "        if run_length >= window - 1:\n",
+        (
+            "tests/test_solver.py::test_finite_chains_report_the_image_at_the_saturated_depth",
+            "tests/test_cli.py::test_finite_chain_stabilizes_only_once_the_graph_is_saturated",
+        ),
+    ),
+    Mutant(
+        "solver imports the command line", "solver.py",
+        "    return CoherentResult(levels=tuple(levels), report=report)\n",
+        # at the end, where the cycle back through exactlap.reports finds every name
+        "    return CoherentResult(levels=tuple(levels), report=report)\n\n\nimport exactlap.cli  # noqa\n",
+        ("tests/test_cli.py::test_module_entry_point_runs_in_a_subprocess",),
+    ),
+    Mutant(
+        "the tracer's image_under_map is renamed", "linalg.py",
+        "def image_under_map(",
+        "def image_of_map(",
+        ("tests/test_bench_bindings.py::test_every_name_the_tracer_binds_resolves_and_is_restored",),
+    ),
+    Mutant(
+        "vertex budget is checked after the neighbor list is built", "oracle.py",
+        "        for nb_key in self._raw(self._keys[i]):\n",
+        "        for nb_key in list(self._raw(self._keys[i])):\n",
+        ("tests/test_graphs.py::test_an_expansion_stops_reading_neighbors_at_the_budget",),
+    ),
+    Mutant(
+        "pivot length counts the right-hand side", "kernel.py",
+        "key=lambda i: (len(rows[i]) - (ncols in rows[i]), i)",
+        "key=lambda i: (len(rows[i]), i)",
+        (KERNEL_TESTS + "test_trees_eliminate_without_fill",),
+    ),
+    Mutant(
+        "_tail is off by one", "direct.py",
+        "    return Fraction(1, 2 ** (n + 1))\n",
+        "    return Fraction(1, 2 ** n)\n",
+        ("tests/test_solver.py::test_metric_agreement_within_depth_bounds_tail",),
+    ),
+    Mutant(
+        "the hand-written negative-number rule is back", "flags.py",
+        '    if re.match(r"^-\\d+$|^-\\d*\\.\\d+$", token) or " " in token:\n',
+        '    whole, dot, frac = token[1:].partition(".")\n'
+        '    number = (whole == "" or whole.isdecimal()) and frac.isdecimal() if dot else whole.isdecimal()\n'
+        '    if number or " " in token:\n',
+        ("tests/test_cli.py::test_a_negative_number_ending_in_a_newline_is_a_value_as_in_argparse",),
+    ),
+    Mutant(
         "a reported solve skips its re-check", "direct.py",
         "        residual_ok=solves(oracle, solution.extend_zero(outer), target, lam),\n",
         "        residual_ok=True,\n",
