@@ -1,8 +1,10 @@
 """The infinite built-in graph families, as lazy neighbor oracles.
 
 Each family documents its canonical neighbor order, which together with
-BFS discovery fixes all vertex ids.  The finite families are in
-`exactlap.finite`; `exactlap.graphs` builds either kind from a spec.
+BFS discovery fixes all vertex ids.  The grids and the ladder share one
+label, the coordinate tuple written as "(x,y)" or "(x,y,z)".  The finite
+families are in `exactlap.finite`; `exactlap.graphs` builds either kind
+from a spec.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ __all__ = ("free_group_oracle", "grid_oracle", "ladder_oracle", "line_oracle", "
 def line_oracle() -> GraphOracle:
     """Integer line; neighbors of k are (k-1, k+1)."""
     return GraphOracle(0, lambda k: (k - 1, k + 1), name="line")
+
+
+def _lattice_label(key: tuple[int, ...]) -> str:
+    """A lattice point as its coordinates, "(x,y)" or "(x,y,z)"."""
+    return "(" + ",".join(map(str, key)) + ")"
 
 
 def grid_oracle(dims: int) -> GraphOracle:
@@ -33,10 +40,7 @@ def grid_oracle(dims: int) -> GraphOracle:
                 out.append(key[:axis] + (key[axis] + step,) + key[axis + 1 :])
         return out
 
-    def label(key):
-        return "(" + ",".join(str(c) for c in key) + ")"
-
-    return GraphOracle((0,) * dims, raw, label=label, name=f"grid{dims}")
+    return GraphOracle((0,) * dims, raw, label=_lattice_label, name=f"grid{dims}")
 
 
 def tree_oracle(degree: int) -> GraphOracle:
@@ -77,10 +81,7 @@ def ladder_oracle(width: int = 2) -> GraphOracle:
             out.append((x, r + 1))
         return out
 
-    def label(key):
-        return f"({key[0]},{key[1]})"
-
-    return GraphOracle((0, 0), raw, label=label, name=f"ladder{width}")
+    return GraphOracle((0, 0), raw, label=_lattice_label, name=f"ladder{width}")
 
 
 _GENERATOR_LETTERS = "abcdefghijklmnopqrstuvwxyz"

@@ -18,7 +18,7 @@ from .operators import LambdaField
 from .oracle import enumerate_ball
 from .serialize import target_from_json
 from .specs import graph_spec_from_text
-from .wire import dump_report, format_fraction, verified_fields
+from .wire import dump_report, verified_fields
 
 DEFAULT_FIXTURE_FAMILIES = "z,z2,tree3,ladder2,c5"
 
@@ -31,7 +31,7 @@ def _random_sparse_target(rng, ball_size: int) -> dict:
     for v in ids:
         num = rng.choice([k for k in range(-9, 10) if k])
         den = rng.randint(1, 9)
-        entries[str(v)] = format_fraction(Fraction(num, den))
+        entries[str(v)] = str(Fraction(num, den))
     return {"kind": "sparse", "entries": entries}
 
 

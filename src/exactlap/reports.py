@@ -15,7 +15,7 @@ from .direct import max_principle_certificate, prodiscrete_distance, solve_on_ba
 from .errors import EmptyUniversalSet, NotStabilized
 from .flags import EXIT_ANOMALY, EXIT_OK, EXIT_WINDOW_EXCEEDED, usage_error
 from .solver import coherent_solution, universal_element
-from .wire import format_fraction, solution_to_json, verified_fields
+from .wire import solution_to_json, verified_fields
 
 
 def _depth_budget(args, n: int) -> int:
@@ -43,7 +43,7 @@ def _certify_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
     report = {
         "radius": n,
         "strict_inclusion": cert.strict_inclusion,
-        "determinant": format_fraction(cert.determinant),
+        "determinant": str(cert.determinant),
         "passes": cert.passes,
         "status": "ok" if cert.passes else "anomaly",
     }
@@ -106,7 +106,7 @@ def _metric_report(args, oracle, target, lam, r1: int) -> tuple[dict, int]:
         "radius_a": r1,
         "radius_b": r2,
         "depth": depth,
-        "bounds": [format_fraction(lower), format_fraction(upper)],
+        "bounds": [str(lower), str(upper)],
         "status": "ok",
     }
     return report, EXIT_OK if all(rep.residual_ok for rep in reps.values()) else EXIT_ANOMALY

@@ -3,6 +3,8 @@
 A graph, target or weight description comes as a compact shorthand
 ("z2", "tree3", "c5", "delta", "distance"), an inline JSON object, or a
 path to a file holding that JSON.  The JSON forms are the canonical ones.
+Graph shorthands come from two tables: bare words, and prefixes followed
+by ASCII decimal digits; any other text is read as JSON or a file.
 This module reads the text of a spec, turns graph specs into oracles, and
 reads the vertex-keyed entries that sparse targets and weight maps hold;
 `exactlap.serialize` builds targets and weights.
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from fractions import Fraction
 
 from .errors import SpecFormatError
@@ -51,32 +52,38 @@ def _load_spec_text(text: str, what: str) -> dict:
     return obj
 
 
-_GRAPH_SHORTHAND = re.compile(r"^(z|z2|z3|tree(\d+)|ladder(\d*)|free(\d+)|c(\d+)|p(\d+))$", re.ASCII)
+# bare shorthands; a bare `ladder` keeps the width that fixtures record
+_GRAPH_WORDS = {
+    "z": {"family": "line"},
+    "z2": {"family": "grid", "dims": 2},
+    "z3": {"family": "grid", "dims": 3},
+    "ladder": {"family": "ladder", "width": 2},
+}
+
+# prefixes followed by ASCII decimal digits: the family, and the field the digits give
+_GRAPH_PREFIXES = {
+    "tree": ("tree", "degree"),
+    "ladder": ("ladder", "width"),
+    "free": ("free_group", "rank"),
+    "c": ("cycle", "size"),
+    "p": ("path", "size"),
+}
 
 
 def graph_spec_from_text(text: str) -> dict:
     """Turn a CLI graph argument into a canonical family spec dict.
 
     Shorthands: z, z2, z3 (line and grids), treeD, ladder / ladderW,
-    freeR, cK (cycle), pK (path).  Anything else must be inline JSON or a
-    file path.
+    freeR, cK (cycle), pK (path), where D, W, R and K are ASCII decimal
+    digits.  Anything else must be inline JSON or a file path.
     """
-    m = _GRAPH_SHORTHAND.match(text.strip())
-    if m:
-        s = m.group(1)
-        if s == "z":
-            return {"family": "line"}
-        if s in ("z2", "z3"):
-            return {"family": "grid", "dims": int(s[1])}
-        if s.startswith("tree"):
-            return {"family": "tree", "degree": _decimal(m.group(2))}
-        if s.startswith("ladder"):
-            return {"family": "ladder", "width": _decimal(m.group(3)) if m.group(3) else 2}
-        if s.startswith("free"):
-            return {"family": "free_group", "rank": _decimal(m.group(4))}
-        if s.startswith("c"):
-            return {"family": "cycle", "size": _decimal(m.group(5))}
-        return {"family": "path", "size": _decimal(m.group(6))}
+    s = text.strip()
+    if s in _GRAPH_WORDS:
+        return dict(_GRAPH_WORDS[s])
+    prefix = s.rstrip("0123456789")
+    if prefix != s and prefix in _GRAPH_PREFIXES:
+        family, field = _GRAPH_PREFIXES[prefix]
+        return {"family": family, field: _decimal(s[len(prefix) :])}
     return _load_spec_text(text, "graph")
 
 

@@ -1,8 +1,8 @@
 """Values on the wire: exact rational strings, and the JSON report.
 
-Every number crossing a process boundary is an exact rational rendered as
-"p/q" (or just "p" when the denominator is 1); parsers accept both forms
-and plain integers.  Floats are rejected everywhere, by policy.  A report
+Every number crossing a process boundary is an exact rational, written
+by `Fraction.__str__` as "p/q" (or just "p" when the denominator is 1);
+parsers accept both forms and plain integers.  Floats are rejected everywhere, by policy.  A report
 is one JSON object with solution values keyed by vertex label, and every
 verified solve shows the same three fields, from `verified_fields`.  Graph,
 target and weight specs are read in `exactlap.specs` and
@@ -21,13 +21,6 @@ from .functions import BallFunction
 from .operators import LambdaField
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$", re.ASCII)
-
-
-def format_fraction(x: Fraction) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _decimal(digits: str) -> int:
@@ -67,13 +60,13 @@ def parse_fraction(text) -> Fraction:
 
 def describe_lambda(lam: LambdaField) -> str:
     if lam.kind == "constant":
-        return f"constant {format_fraction(lam.data)}"
+        return f"constant {lam.data!s}"
     return lam.kind
 
 
 def solution_to_json(fn: BallFunction) -> dict[str, str]:
     """Solution values keyed by the family's native vertex labels, in ball order."""
-    return {label: format_fraction(x) for label, x in fn.label_items()}
+    return {label: str(x) for label, x in fn.label_items()}
 
 
 def verified_fields(rep) -> dict:
@@ -82,7 +75,7 @@ def verified_fields(rep) -> dict:
     return {
         "solution": solution_to_json(rep.solution),
         "residual_zero": rep.residual_ok,
-        "metric_bound": format_fraction(rep.metric_bound),
+        "metric_bound": str(rep.metric_bound),
     }
 
 

@@ -33,7 +33,7 @@ from exactlap.linalg import AffineSubspace
 from exactlap.operators import LambdaField
 from exactlap.serialize import _TARGETS, _WEIGHTS, lambda_from_json, target_from_json
 from exactlap.specs import graph_spec_from_text
-from exactlap.wire import ball_function_from_json, format_fraction, parse_fraction
+from exactlap.wire import ball_function_from_json, parse_fraction, solution_to_json
 
 import exactlap.chain as chain_module
 import exactlap.cli as cli_module
@@ -70,12 +70,15 @@ def test_parse_fraction_rejects_inexact_or_malformed(bad):
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
 def test_fraction_round_trip_is_exact(num, den):
     x = Fraction(num, den)
-    assert parse_fraction(format_fraction(x)) == x
+    assert parse_fraction(str(x)) == x
 
 
-def test_format_fraction_compact_integer_form():
-    assert format_fraction(Fraction(4, 2)) == "2"
-    assert format_fraction(Fraction(-1, 3)) == "-1/3"
+def test_solution_json_writes_the_compact_integer_form():
+    ball = enumerate_ball(grid_oracle(2), 1)
+    fn = BallFunction(ball, (Fraction(4, 2), Fraction(-1, 3)) + (Fraction(0),) * 3)
+    assert list(solution_to_json(fn).items()) == [
+        ("(0,0)", "2"), ("(-1,0)", "-1/3"), ("(1,0)", "0"), ("(0,-1)", "0"), ("(0,1)", "0"),
+    ]
 
 
 # --- graph shorthand parsing ------------------------------------------------
@@ -91,6 +94,21 @@ def test_graph_shorthands():
     assert graph_spec_from_text("free2") == {"family": "free_group", "rank": 2}
     assert graph_spec_from_text("c7") == {"family": "cycle", "size": 7}
     assert graph_spec_from_text("p4") == {"family": "path", "size": 4}
+
+
+def test_graph_shorthand_edges(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no file here can shadow a spec
+    assert graph_spec_from_text("tree03") == {"family": "tree", "degree": 3}
+    assert graph_spec_from_text("c05") == {"family": "cycle", "size": 5}
+    assert graph_spec_from_text("ladder0") == {"family": "ladder", "width": 0}
+    assert graph_spec_from_text(" p4\n") == {"family": "path", "size": 4}
+    for text in ("z4", "z0", "tree", "c", "C5", "c5x", "c-5", "c+5", "c\u0665", "tree\uff13", "ladder 3"):
+        message = f"unrecognized graph spec {text!r}: not a shorthand, inline JSON, or existing file"
+        with pytest.raises(SpecFormatError) as info:
+            graph_spec_from_text(text)
+        assert str(info.value) == message
+    with pytest.raises(SpecFormatError, match="^integer literal of 5000 characters is too long$"):
+        graph_spec_from_text("c" + "9" * 5000)
 
 
 def test_graph_inline_json_and_file(tmp_path):
@@ -109,7 +127,7 @@ def test_solution_reconstruction_from_labels():
     oracle = grid_oracle(2)
     ball = enumerate_ball(oracle, 1)
     rep = solve_on_ball(oracle, TargetFunction.delta(), 1, LambdaField.zero())
-    payload = {label: format_fraction(x) for label, x in rep.solution.label_items()}
+    payload = {label: str(x) for label, x in rep.solution.label_items()}
     rebuilt = ball_function_from_json(ball, payload)
     assert rebuilt.values == rep.solution.values
     with pytest.raises(SpecFormatError):
@@ -145,7 +163,7 @@ def test_ball_report_round_trips_to_exact_values(capsys):
     rep = solve_on_ball(
         oracle, TargetFunction.radial([1, Fraction(1, 2)]), 2, LambdaField.distance()
     )
-    expected = {label: format_fraction(x) for label, x in rep.solution.label_items()}
+    expected = {label: str(x) for label, x in rep.solution.label_items()}
     assert report["solution"] == expected
     parsed = {k: parse_fraction(v) for k, v in report["solution"].items()}
     assert parsed == dict(rep.solution.label_items())

@@ -170,6 +170,24 @@ MUTANTS = (
             "tests/test_cli.py::test_ball_solve_that_fails_the_re_check_is_an_anomaly",
         ),
     ),
+    Mutant(
+        "a shorthand's digits may be any Unicode digit", "specs.py",
+        '    prefix = s.rstrip("0123456789")\n',
+        '    prefix = s.rstrip("".join(c for c in s if c.isdigit()))\n',
+        ("tests/test_cli.py::test_graph_shorthand_edges",),
+    ),
+    Mutant(
+        "bare ladder takes another width", "specs.py",
+        '    "ladder": {"family": "ladder", "width": 2},\n',
+        '    "ladder": {"family": "ladder", "width": 3},\n',
+        ("tests/test_cli.py::test_graph_shorthands",),
+    ),
+    Mutant(
+        "solution values write whole numbers as p/1", "wire.py",
+        "    return {label: str(x) for label, x in fn.label_items()}\n",
+        '    return {label: f"{x.numerator}/{x.denominator}" for label, x in fn.label_items()}\n',
+        ("tests/test_cli.py::test_solution_json_writes_the_compact_integer_form",),
+    ),
 )
 
 
