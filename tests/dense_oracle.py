@@ -8,6 +8,8 @@ one-step divisions, and `dense_solve` back-substitutes in fractions.
 to put a point and a spanning set in the package's canonical
 `AffineSubspace` form, so the two paths can be compared by equality, and
 `dense_contains` to decide membership in a point plus a spanning set.
+`cofactor_det` is the Laplace-expansion determinant, exponential in the
+size and written with no elimination at all.
 Nothing here builds an `AffineSubspace` from a spanning set or calls the
 package's images: the canonical fields are computed here and only wrapped.
 
@@ -152,6 +154,22 @@ def dense_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * m[n - 1][n - 1], denom)
+
+
+def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Laplace expansion along the first row; exponential but unarguable."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return Fraction(rows[0][0])
+    total = Fraction(0)
+    for j in range(n):
+        a = rows[0][j]
+        if a:
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            total += (-1) ** j * a * cofactor_det(minor)
+    return total
 
 
 def dense_solve(rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction]) -> AffineSubspace:

@@ -422,7 +422,7 @@ def test_operator_matrices_match_oracle(family, lam_name):
     rng = random.Random(f"{family}:{lam_name}")
     for n in range(4):
         square = truncated_operator_matrix(oracle, n, lam)
-        rows = square.entries
+        rows = [square.row(i) for i in range(square.rows)]
         det = determinant(square)
         assert det == dense_determinant(rows)
         b = _target(rng, square.rows)
@@ -439,7 +439,8 @@ def test_operator_matrices_match_oracle(family, lam_name):
         b = _target(rng, rect.rows)
         outer = enumerate_ball(oracle, n + 1)
         levels = [enumerate_ball(oracle, level + 1) for level in range(n + 1)]
-        deep, images = dense_images(rect.entries, rect.cols, b, [ball.size for ball in levels])
+        rect_rows = [rect.row(i) for i in range(rect.rows)]
+        deep, images = dense_images(rect_rows, rect.cols, b, [ball.size for ball in levels])
         sol = solve_exact(rect, b)
         assert_same_subspace(sol, deep)
         for ball, want in zip(levels, images):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import dense_matrix, full_space
+from dense_oracle import cofactor_det, dense_matrix, full_space
 from exactlap.errors import DimensionMismatch
 from exactlap.linalg import (
     AffineSubspace,
@@ -17,46 +17,9 @@ from exactlap.linalg import (
     solve_exact,
     subspace_equal,
 )
+from test_acceptance import naive_rank
 
-# --- independent oracles, deliberately naive -------------------------------
-
-
-def cofactor_det(rows):
-    """Laplace expansion along the first row; exponential but unarguable."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        a = rows[0][j]
-        if a:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * a * cofactor_det(minor)
-    return total
-
-
-def gauss_rank(rows):
-    """Textbook fraction Gaussian elimination, counting pivots."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    rank = 0
-    cols = len(m[0])
-    for c in range(cols):
-        p = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[rank], m[p] = m[p], m[rank]
-        piv = m[rank][c]
-        m[rank] = [x / piv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                coef = m[i][c]
-                m[i] = [a - coef * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+# --- random inputs ---------------------------------------------------------
 
 
 def random_fraction(rng, num=6, den=4):
@@ -146,7 +109,7 @@ def test_solve_underdetermined_full_solution_set():
     a = dense_matrix([[1, 1, 0, 2], [0, 1, 1, Fraction(1, 3)]])
     b = [Fraction(5), Fraction(-1)]
     sol = solve_exact(a, b)
-    assert sol.dim == 4 - gauss_rank(a.entries)
+    assert sol.dim == 4 - naive_rank([a.row(i) for i in range(a.rows)])
     assert list(a.mul_vec(sol.particular)) == b
     zero = [Fraction(0)] * 2
     for v in sol.basis:

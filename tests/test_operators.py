@@ -14,7 +14,6 @@ from exactlap.graphs import (
     cycle_oracle,
     enumerate_ball,
     grid_oracle,
-    ladder_oracle,
     line_oracle,
     tree_oracle,
 )
@@ -27,21 +26,9 @@ from exactlap.operators import (
     truncated_operator_matrix,
 )
 from exactlap.wire import describe_lambda
+from test_acceptance import CORE_FAMILIES as FAMILIES, LAMBDAS
 
 H = Fraction(1, 2)
-
-FAMILIES = {
-    "line": line_oracle,
-    "grid2": lambda: grid_oracle(2),
-    "tree3": lambda: tree_oracle(3),
-    "ladder2": lambda: ladder_oracle(2),
-}
-
-LAMBDAS = {
-    "zero": LambdaField.zero,
-    "one": lambda: LambdaField.constant(1),
-    "distance": LambdaField.distance,
-}
 
 
 def random_function(rng, ball):

@@ -1,4 +1,4 @@
-"""Both solution constructions, checked against naive in-test oracles."""
+"""Both solution constructions, checked against the shared naive test oracles."""
 
 import importlib
 import pkgutil
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import full_space
+from dense_oracle import cofactor_det, full_space
 from exactlap.chain import run_chain
 from exactlap.direct import (
     affine_solution_set,
@@ -50,6 +50,7 @@ from exactlap.operators import (
 )
 from exactlap.serialize import lambda_from_text, target_from_text
 from exactlap.solver import coherent_solution, universal_element
+from test_acceptance import CORE_FAMILIES as FAMILIES, naive_gauss_solve, naive_rank
 
 import exactlap
 import exactlap.chain as chain_module
@@ -61,63 +62,6 @@ import exactlap.solver as solver_module
 
 LAM0 = LambdaField.zero()
 DELTA = TargetFunction.delta()
-
-FAMILIES = {
-    "line": line_oracle,
-    "grid2": lambda: grid_oracle(2),
-    "tree3": lambda: tree_oracle(3),
-    "ladder2": lambda: ladder_oracle(2),
-}
-
-# --- independent oracles, naive on purpose ---------------------------------
-
-
-def naive_gauss_solve(rows, b):
-    """Partial-pivot-free fraction elimination; unique solutions only."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(rows)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if m[i][c] != 0)
-        m[c], m[p] = m[p], m[c]
-        piv = m[c][c]
-        m[c] = [x / piv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                coef = m[i][c]
-                m[i] = [a - coef * bb for a, bb in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
-
-
-def naive_rank(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        p = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[rank], m[p] = m[p], m[rank]
-        piv = m[rank][c]
-        m[rank] = [x / piv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                coef = m[i][c]
-                m[i] = [a - coef * bb for a, bb in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def cofactor_det(rows):
-    n = len(rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j in range(n):
-        a = rows[0][j]
-        if a:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1) ** j * a * cofactor_det(minor)
-    return total
-
 
 # --- direct ball solves -----------------------------------------------------
 
