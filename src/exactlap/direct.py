@@ -15,13 +15,14 @@ sets and the prodiscrete metric live here too; the coherent route is in
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 
 from .errors import BadRadii, DimensionMismatch, InsufficientDomain, SingularSystem
 from .functions import BallFunction, TargetFunction
 from .linalg import determinant, solve_exact
 from .operators import LambdaField, restricted_operator_matrix, solves, truncated_operator_matrix
-from .oracle import GraphOracle, enumerate_ball
+from .oracle import Ball, GraphOracle, enumerate_ball
 from .record import Record
 from .subspace import AffineSubspace
 
@@ -92,6 +93,16 @@ def verified(
     )
 
 
+def _solve_on(
+    oracle: GraphOracle, target: TargetFunction, n: int, lam: LambdaField, assemble: Callable
+) -> tuple[Ball, AffineSubspace]:
+    """B_n, and the solutions of ``assemble(oracle, n, lam) x = target`` on B_n."""
+    if n < 0:
+        raise BadRadii("radius must be nonnegative")
+    ball = enumerate_ball(oracle, n)
+    return ball, solve_exact(assemble(oracle, n, lam), target.on_ball(ball).values)
+
+
 def solve_on_ball(
     oracle: GraphOracle, target: TargetFunction, n: int, lam: LambdaField
 ) -> SolveReport:
@@ -100,11 +111,7 @@ def solve_on_ball(
     Raises SingularSystem exactly when the square truncation is singular,
     which happens precisely when the ball has swallowed a finite graph.
     """
-    if n < 0:
-        raise BadRadii("radius must be nonnegative")
-    ball = enumerate_ball(oracle, n)
-    matrix = truncated_operator_matrix(oracle, n, lam)
-    solution_set = solve_exact(matrix, target.on_ball(ball).values)
+    ball, solution_set = _solve_on(oracle, target, n, lam, truncated_operator_matrix)
     if solution_set.is_empty or solution_set.dim != 0:
         raise SingularSystem(
             f"truncated operator is singular at radius {n}"
@@ -133,11 +140,7 @@ def affine_solution_set(
     oracle: GraphOracle, target: TargetFunction, n: int, lam: LambdaField
 ) -> AffineSubspace:
     """All functions on B_{n+1} whose operator values match the target on B_n."""
-    if n < 0:
-        raise BadRadii("radius must be nonnegative")
-    inner = enumerate_ball(oracle, n)
-    matrix = restricted_operator_matrix(oracle, n, lam)
-    return solve_exact(matrix, target.on_ball(inner).values)
+    return _solve_on(oracle, target, n, lam, restricted_operator_matrix)[1]
 
 
 def prodiscrete_distance(

@@ -14,11 +14,6 @@ class ExactLapError(Exception):
 class OracleInconsistent(ExactLapError):
     """A neighbor list changed between queries of the same vertex."""
 
-    def __init__(self, vertex: int, reason: str):
-        self.vertex = vertex
-        self.reason = reason
-        super().__init__(f"oracle inconsistent at vertex {vertex}: {reason}")
-
 
 class VertexBudgetExceeded(ExactLapError):
     """An oracle would discover more vertices than its budget allows."""

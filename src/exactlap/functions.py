@@ -14,7 +14,7 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 
 from .errors import BadRadii, DimensionMismatch
-from .matrix import Vector
+from .matrix import _ZERO, Vector
 from .oracle import Ball, GraphOracle
 from .record import Record
 
@@ -53,9 +53,6 @@ class BallFunction(Record):
     def label_items(self) -> list[tuple[str, Fraction]]:
         oracle = self.ball.oracle
         return [(oracle.label(v), x) for v, x in zip(self.ball.vertices, self.values)]
-
-
-_ZERO = Fraction(0)
 
 
 class VertexField:

@@ -32,7 +32,7 @@ def validate_oracle(oracle: GraphOracle, probe_radius: int) -> None:
         nbs = oracle.neighbors(v)
         recheck = tuple(oracle._raw(oracle.key_of(v)))
         if recheck != tuple(oracle.key_of(w) for w in nbs):
-            raise OracleInconsistent(v, "neighbor list changed between calls")
+            raise OracleInconsistent(f"oracle inconsistent at vertex {v}: neighbor list changed between calls")
         if len(nbs) == 0:
             details.append(f"vertex {v} has no neighbors")
         seen: set[int] = set()

@@ -86,21 +86,20 @@ def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:
     )
 
 
+def _same_space(s1: AffineSubspace, s2: AffineSubspace) -> None:
+    if s1.ambient_dim != s2.ambient_dim:
+        raise DimensionMismatch(f"comparing subspaces of Q^{s1.ambient_dim} and Q^{s2.ambient_dim}")
+
+
 def subspace_equal(s1: AffineSubspace, s2: AffineSubspace) -> bool:
     """Point-set equality, decided by comparing canonical forms."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch(
-            f"comparing subspaces of Q^{s1.ambient_dim} and Q^{s2.ambient_dim}"
-        )
+    _same_space(s1, s2)
     return s1 == s2
 
 
 def affine_subset(inner: AffineSubspace, outer: AffineSubspace) -> bool:
     """Whether ``inner`` is contained in ``outer``, checked on generators."""
-    if inner.ambient_dim != outer.ambient_dim:
-        raise DimensionMismatch(
-            f"comparing subspaces of Q^{inner.ambient_dim} and Q^{outer.ambient_dim}"
-        )
+    _same_space(inner, outer)
     if inner.is_empty:
         return True
     if outer.is_empty:

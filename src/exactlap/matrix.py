@@ -18,6 +18,7 @@ __all__ = ("RationalMatrix",)
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class RationalMatrix:

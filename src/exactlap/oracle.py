@@ -56,10 +56,6 @@ class GraphOracle:
         self._adj: list[tuple[int, ...]] = []
         self._dist: list[int] = [0]
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def _expand_next(self) -> None:
         """Expand the first unexpanded vertex, within `VERTEX_BUDGET`.
 

@@ -12,10 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kernel import _clear
-from .matrix import Vector
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .matrix import _ONE, _ZERO, Vector
 
 
 def _read_off(

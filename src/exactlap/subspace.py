@@ -25,12 +25,10 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .kernel import _eliminate
-from .matrix import RationalMatrix, Vector
+from .matrix import _ONE, RationalMatrix, Vector
 from .readoff import _read_off
 
 __all__ = ("AffineSubspace", "solution_image")
-
-_ONE = Fraction(1)
 
 
 class AffineSubspace:
@@ -50,12 +48,10 @@ class AffineSubspace:
     def __init__(
         self,
         ambient_dim: int,
-        particular: Sequence[Fraction] | None = None,
+        particular: Sequence[Fraction],
         span: Iterable[Sequence[Fraction]] = (),
     ) -> None:
         self.ambient_dim = ambient_dim
-        if particular is None:
-            particular = (Fraction(0),) * ambient_dim
         point = tuple(map(Fraction, particular))
         if len(point) != ambient_dim:
             raise DimensionMismatch("particular point has wrong length")
@@ -122,18 +118,16 @@ class AffineSubspace:
         point = tuple(point)
         return not self.is_empty and self.member(point) == point
 
+    def _key(self) -> tuple:
+        return self.ambient_dim, self.is_empty, self.particular, self.basis
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AffineSubspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.is_empty == other.is_empty
-            and self.particular == other.particular
-            and self.basis == other.basis
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.is_empty, self.particular, self.basis))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         if self.is_empty:

@@ -95,7 +95,7 @@ def test_ball_sizes_match_closed_forms(name):
 def test_distances_match_independent_bfs(name):
     oracle = FAMILIES[name]()
     ball = enumerate_ball(oracle, 4)
-    dist = bfs_distances(oracle.neighbors, oracle.root, 4)
+    dist = bfs_distances(oracle.neighbors, 0, 4)
     for v in ball.vertices:
         assert oracle.distance(v) == dist[v]
         assert ball.distances[v] == dist[v]
@@ -331,7 +331,9 @@ def test_validate_flags_unstable_neighbor_function():
 
     oracle = GraphOracle(0, raw)
     oracle.neighbors(0)
-    with pytest.raises(OracleInconsistent):
+    with pytest.raises(
+        OracleInconsistent, match="^oracle inconsistent at vertex 0: neighbor list changed between calls$"
+    ):
         validate_oracle(oracle, 1)
 
 

@@ -254,8 +254,9 @@ def test_image_under_map():
     flat = image_under_map(line, collapse)
     assert flat.dim == 0 and flat.particular == (0,)
     assert image_under_map(AffineSubspace.empty(3), proj).is_empty
-    with pytest.raises(DimensionMismatch):
-        image_under_map(line, dense_matrix([[1, 0]]))
+    for s in (line, AffineSubspace.empty(3)):
+        with pytest.raises(DimensionMismatch, match="^map expects dimension 2, subspace lives in 3$"):
+            image_under_map(s, dense_matrix([[1, 0]]))
 
 
 def test_subspace_equal_requires_same_ambient():
@@ -270,9 +271,9 @@ def test_subspace_equal_requires_same_ambient():
 )
 def test_span_order_never_changes_the_subspace(span, perm):
     usable = [v for v in span if any(v)]
-    a = AffineSubspace(4, span=usable)
+    a = AffineSubspace(4, [Fraction(0)] * 4, usable)
     reordered = [usable[i % len(usable)] for i in perm] if usable else []
-    b = AffineSubspace(4, span=usable + reordered)
+    b = AffineSubspace(4, [Fraction(0)] * 4, usable + reordered)
     assert a == b
 
 
@@ -293,7 +294,7 @@ def test_subspace_rejects_a_point_or_spanning_vector_of_the_wrong_length():
     with pytest.raises(DimensionMismatch, match="^particular point has wrong length$"):
         AffineSubspace(3, [Fraction(1), Fraction(2)])
     with pytest.raises(DimensionMismatch, match="^spanning vector has wrong length$"):
-        AffineSubspace(3, span=[[1, 0, 0], [1, 0]])
+        AffineSubspace(3, [Fraction(0)] * 3, [[1, 0, 0], [1, 0]])
 
 
 def test_subspace_equality_with_other_types_and_repr():

@@ -42,6 +42,7 @@ def test_an_entry_whose_text_is_not_found_once_does_not_apply(monkeypatch, capsy
 
 
 def test_a_mutant_the_tests_pass_survives(monkeypatch, capsys):
+    """A mutant whose tests pass survives; one whose tests overrun the limit is not killed either."""
     comment = "# rank loss: no row left with a nonzero here"
     harmless = mutants.Mutant(
         "harmless", "kernel.py", comment, "# a changed comment",
@@ -50,4 +51,10 @@ def test_a_mutant_the_tests_pass_survives(monkeypatch, capsys):
     monkeypatch.setattr(mutants, "MUTANTS", (harmless,))
     assert mutants.main() == 1
     assert capsys.readouterr().out.splitlines()[0] == "survived     kernel.py     harmless"
+    monkeypatch.setattr(mutants, "TIMEOUT_S", 0.01)  # less than the interpreter takes to start
+    assert mutants.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "timed out    kernel.py     harmless",
+        "0 of 1 mutants killed",
+    ]
 

@@ -5,9 +5,11 @@ text that replaces it, and the test node ids that must then fail.  For each
 entry the tool copies ``src/`` to a temporary directory and makes the
 replacement there; an entry whose module is missing, or whose old text
 does not occur exactly once, does not apply.  It then runs only the named tests, with ``PYTHONPATH``
-naming the copy.  The mutant is killed when pytest reports a failed test
-(exit code 1); a pass, a usage error (a test id that is gone) or a
-collection error counts against it.  Nothing under ``src/`` is written.
+naming the copy, for at most `TIMEOUT_S` seconds.  The mutant is killed
+when pytest reports a failed test (exit code 1); a pass, a usage error (a
+test id that is gone), a collection error or a run that overruns the limit
+counts against it, since a defect that the tests notice only by hanging
+has not been noticed.  Nothing under ``src/`` is written.
 
     python tools/mutants.py
 
@@ -30,6 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 KERNEL_TESTS = "tests/test_kernel_oracle.py::"
 OPERATOR_TESTS = "tests/test_operators.py::"
+
+# wall-clock limit of one mutant's pytest run; the slowest kill takes a few seconds
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -136,10 +141,25 @@ MUTANTS = (
         ("tests/test_bench_bindings.py::test_every_name_the_tracer_binds_resolves_and_is_restored",),
     ),
     Mutant(
+        "image_under_map takes a map of another dimension", "linalg.py",
+        "    if m.cols != s.ambient_dim:\n",
+        "    if False:\n",
+        ("tests/test_linalg.py::test_image_under_map",),
+    ),
+    Mutant(
         "vertex budget is checked after the neighbor list is built", "oracle.py",
         "        for nb_key in self._raw(self._keys[i]):\n",
         "        for nb_key in list(self._raw(self._keys[i])):\n",
         ("tests/test_graphs.py::test_an_expansion_stops_reading_neighbors_at_the_budget",),
+    ),
+    Mutant(
+        "vertex budget is never enforced", "oracle.py",
+        "                    raise VertexBudgetExceeded(VERTEX_BUDGET, self.name)\n",
+        "                    pass\n",
+        (
+            "tests/test_graphs.py::test_vertex_budget_leaves_the_oracle_usable",
+            "tests/test_graphs.py::test_one_expansion_over_budget_records_none_of_its_vertices",
+        ),
     ),
     Mutant(
         "pivot length counts the right-hand side", "kernel.py",
@@ -192,7 +212,7 @@ MUTANTS = (
 
 
 def run(mutant: Mutant) -> str:
-    """``killed``, ``survived``, ``not applied``, or the pytest exit code of another outcome."""
+    """``killed``, ``survived``, ``not applied``, ``timed out``, or ``pytest exit N`` otherwise."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -204,10 +224,13 @@ def run(mutant: Mutant) -> str:
         # the copy comes first, so it shadows any other exactlap on the path
         path_var = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
         env = {**os.environ, "PYTHONPATH": path_var, "PYTHONDONTWRITEBYTECODE": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=ROOT, env=env, capture_output=True, text=True,
-        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return "timed out"
     return {0: "survived", 1: "killed"}.get(proc.returncode, f"pytest exit {proc.returncode}")
 
 
