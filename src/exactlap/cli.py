@@ -92,15 +92,15 @@ def run_cli(argv: list[str]) -> int:
                     "mode": args.mode,
                     "radius": e.radius,
                     "status": "singular",
-                    "singular_expected_finite": bool(e.boundary_saturated),
-                    "boundary_saturated": bool(e.boundary_saturated),
+                    "singular_expected_finite": e.boundary_saturated,
+                    "boundary_saturated": e.boundary_saturated,
                 }
             except EmptyUniversalSet as e:
                 degenerate, report = e, {
                     "mode": args.mode,
                     "level": e.level,
                     "status": "no_universal_element",
-                    "unsolvable_expected_finite": bool(e.boundary_saturated),
+                    "unsolvable_expected_finite": e.boundary_saturated,
                 }
         text = dump_report(report)
         if args.out is not None and args.mode != "fixtures":

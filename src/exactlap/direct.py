@@ -31,9 +31,6 @@ __all__ = (
     "prodiscrete_distance", "solve_on_ball",
 )
 
-BALL_CONSTRUCTION = "ball"
-
-
 class SolveReport(Record):
     """A verified preimage on a ball.
 
@@ -46,7 +43,6 @@ class SolveReport(Record):
     radius: int
     solution: BallFunction
     residual_ok: bool
-    construction: str
     metric_bound: Fraction
 
 
@@ -59,7 +55,6 @@ class Certificate(Record):
     has saturated a finite graph.
     """
 
-    radius: int
     strict_inclusion: bool
     determinant: Fraction
     passes: bool
@@ -76,7 +71,6 @@ def verified(
     lam: LambdaField,
     n: int,
     solution: BallFunction,
-    construction: str,
 ) -> SolveReport:
     """The report on ``solution``, a claimed preimage of the target on B_n.
 
@@ -88,7 +82,6 @@ def verified(
         radius=n,
         solution=solution,
         residual_ok=solves(oracle, solution.extend_zero(outer), target, lam),
-        construction=construction,
         metric_bound=_tail(n),
     )
 
@@ -120,7 +113,7 @@ def solve_on_ball(
             boundary_saturated=ball.boundary_saturated,
         )
     f = BallFunction(ball, solution_set.particular)
-    return verified(oracle, target, lam, n, f, BALL_CONSTRUCTION)
+    return verified(oracle, target, lam, n, f)
 
 
 def max_principle_certificate(oracle: GraphOracle, n: int, lam: LambdaField) -> Certificate:
@@ -129,7 +122,6 @@ def max_principle_certificate(oracle: GraphOracle, n: int, lam: LambdaField) -> 
     strict = not enumerate_ball(oracle, n).boundary_saturated
     det = determinant(truncated_operator_matrix(oracle, n, lam))
     return Certificate(
-        radius=n,
         strict_inclusion=strict,
         determinant=det,
         passes=(not strict) or det != 0,

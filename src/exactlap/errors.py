@@ -55,7 +55,7 @@ class SingularSystem(ExactLapError):
     infinite graph, where the truncated operator is provably invertible.
     """
 
-    def __init__(self, message: str, radius: int | None = None, boundary_saturated: bool | None = None):
+    def __init__(self, message: str, radius: int, boundary_saturated: bool):
         self.radius = radius
         self.boundary_saturated = boundary_saturated
         super().__init__(message)
@@ -72,7 +72,7 @@ class EmptyUniversalSet(ExactLapError):
     anomaly on an infinite graph, where every chain image is nonempty.
     """
 
-    def __init__(self, message: str, level: int | None = None, boundary_saturated: bool | None = None):
+    def __init__(self, message: str, level: int, boundary_saturated: bool):
         self.level = level
         self.boundary_saturated = boundary_saturated
         super().__init__(message)

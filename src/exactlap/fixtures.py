@@ -73,7 +73,7 @@ def emit_fixtures(seed: int, families: list[str], max_radius: int, out_dir: str)
                         "radius": n,
                         "status": "singular",
                         "singular": True,
-                        "singular_expected_finite": bool(e.boundary_saturated),
+                        "singular_expected_finite": e.boundary_saturated,
                     }
                 )
                 continue

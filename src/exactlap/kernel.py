@@ -1,9 +1,10 @@
 """The sparse elimination kernel over the rationals; no floating point anywhere.
 
-One elimination kernel, `_eliminate`, reduces the sparse `RationalMatrix`
-of `exactlap.matrix`.  It serves the determinant, the square ball solve,
-the rectangular solution sets and their images on a prefix of the
-coordinates (see `exactlap.linalg`):
+This is the one account of the package's elimination; `exactlap.readoff`,
+`exactlap.subspace` and `exactlap.linalg` build on it.  One kernel,
+`_eliminate`, reduces the sparse `RationalMatrix` of `exactlap.matrix`.
+It serves the determinant, the square ball solve, the rectangular
+solution sets and their images on a prefix of the coordinates:
 
 * rows are scaled to integers once and kept primitive (the gcd of each
   updated row is divided out, its scale kept for the determinant), so an
@@ -23,13 +24,22 @@ coordinates (see `exactlap.linalg`):
   removed when an entry cancels or a row pivots: when the column comes
   up, its live rows are read off the list and the list is freed;
 * for every ``k`` at once, the columns from ``k`` on are taken before the
-  first ``k``: the rows left without a pivot by then constrain the first
-  ``k`` unknowns alone and cut out the image of the solution set there,
-  and each later pivot sits at its row's rightmost column.
-
-The back pass that reads a canonical set off the result is in
-`exactlap.readoff`; it clears the pivot rows of the result with `_clear`,
-in place, so it consumes the rows it reads.
+  first ``k``: each of those unknowns is then pivoted (solvable from the
+  others) or free, so the rows left without a pivot constrain the first
+  ``k`` unknowns alone and cut out the image of the solution set there
+  exactly, and each later pivot sits at its row's rightmost column; one
+  elimination therefore serves any prefix;
+* one back pass, `exactlap.readoff._read_off`, reads the canonical set
+  off a result at a prefix, whose columns that never pivot are the
+  reduced-echelon pivot columns of the direction space (its docstring
+  says why); it clears each pivot row of the pivot columns taken after
+  it with `_clear`, in place, so it consumes the rows it reads, and
+  `exactlap.subspace.solution_image` hands it a fresh elimination on
+  every call; neither pass writes the caller's matrix or right-hand side;
+* `_eliminate` is the only code that chooses pivots and `_read_off` the
+  only code that back-reduces: `exactlap.linalg.solve_exact` is the image
+  on all of the coordinates, whatever the shape and rank, and a point
+  plus a spanning set is put in canonical form as such an image too.
 """
 
 from __future__ import annotations

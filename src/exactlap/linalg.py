@@ -1,25 +1,9 @@
 """Exact sparse linear algebra over the rationals; no floating point anywhere.
 
-Determinants, solves and canonical solution sets go through the one
-sparse elimination kernel of `exactlap.kernel`, on the sparse
-`RationalMatrix` of `exactlap.matrix`.  The kernel takes the columns from
-the right, so for every ``k`` the columns from ``k`` on come first: the
-rows they leave without a pivot cut out the image of the solution set on
-the first ``k`` coordinates, and one elimination serves any prefix.
-
-Sets are returned as an `AffineSubspace`, whose canonical form makes set
-equality a tuple comparison; `solution_image` (both in
-`exactlap.subspace`) reads one off an elimination through the one back
-pass, `_read_off` (`exactlap.readoff`), whose columns left without a
-pivot are exactly the reduced-echelon pivot columns.  `solve_exact` is
-`solution_image` on all of the coordinates, one elimination for every
-shape and rank, and `AffineSubspace` reads a point plus a spanning set
-off `solution_image` too, so `_eliminate` is the only code that chooses
-pivots and `_read_off` the only one that back-reduces.  Both combine rows
-through the kernel's one integer row operation, `_clear`, in place:
-`_read_off` consumes the rows of the elimination it reads, and
-`solution_image` hands it a fresh one each time.  `image_under_map`
-and the `AffineSubspace.from_point` wrap in `solve_exact` are kept for the
+The determinant, `solve_exact` and the subspace comparisons, built on the
+one elimination kernel (`exactlap.kernel`, which describes it) and on the
+canonical `AffineSubspace` (`exactlap.subspace`).  `image_under_map` and
+the `AffineSubspace.from_point` wrap in `solve_exact` are kept for the
 benchmark's tracer only; nothing in the package calls the former.
 """
 

@@ -1,8 +1,7 @@
 """The back pass: reading a canonical affine set off an `_eliminate` result.
 
-`_read_off` clears each pivot row of the pivot columns taken after it
-with the kernel's one row operation, `exactlap.kernel._clear`, in place
-on the rows of the elimination it is given, which it consumes.
+`_read_off` is the one code that back-reduces; `exactlap.kernel` tells how
+it uses the kernel's row operation and why it consumes the rows it reads.
 `exactlap.subspace.solution_image` wraps what it reads off in an
 `AffineSubspace`.
 """

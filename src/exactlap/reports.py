@@ -31,7 +31,7 @@ def _ball_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
     report = {
         "radius": n,
         "status": "ok",
-        "construction": rep.construction,
+        "construction": "ball",
         "ball_size": rep.solution.ball.size,
         **verified_fields(rep),
     }
@@ -83,7 +83,7 @@ def _coherent_report(args, oracle, target, lam, n: int) -> tuple[dict, int]:
     report = {
         **base,
         "status": "ok",
-        "construction": rep.construction,
+        "construction": "ml",
         "radius": rep.radius,
         **verified_fields(rep),
         "family": [

@@ -30,9 +30,6 @@ from .record import Record
 
 __all__ = ("CoherentResult", "coherent_solution", "universal_element")
 
-COHERENT_CONSTRUCTION = "ml"
-
-
 def _lift(chain: ChainState, prefix: tuple[Fraction, ...]) -> BallFunction:
     """The member of the chain's stabilized image that extends ``prefix``.
 
@@ -98,5 +95,5 @@ def coherent_solution(
     levels: list[BallFunction] = []
     for chain in chains:
         levels.append(_lift(chain, levels[-1].values if levels else ()))
-    report = verified(oracle, target, lam, big_n, levels[-1], COHERENT_CONSTRUCTION)
+    report = verified(oracle, target, lam, big_n, levels[-1])
     return CoherentResult(levels=tuple(levels), report=report)

@@ -31,12 +31,22 @@ def _load_spec_text(text: str, what: str) -> dict:
         source = f"{what} spec file {text!r}"
     else:
         raise SpecFormatError(f"unrecognized {what} spec {text!r}: not a shorthand, inline JSON, or existing file")
+
+    def unique_keys(pairs: list) -> dict:
+        """An object of the spec, at any depth; json's own reader keeps a repeated key's last value."""
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SpecFormatError(f"{source} names key {key!r} twice")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         if inline:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=unique_keys)
         else:
             with open(text, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+                obj = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as e:
         raise SpecFormatError(f"{source} cannot be read: {e.strerror}") from None
     except UnicodeDecodeError:

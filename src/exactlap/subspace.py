@@ -1,21 +1,10 @@
 """Affine subsets of Q^n in a canonical form; no floating point anywhere.
 
-The direction space is kept as its reduced row echelon basis, and the
-particular point is zeroed on the basis pivot columns, so that two
-subspaces are equal as point sets exactly when their stored fields are
-identical.  Set equality therefore reduces to tuple comparison, which is
-what stabilization detection in the solver relies on.
-
-`solution_image` is the one code that reads a set off an elimination: it
-runs the one elimination kernel (`exactlap.kernel`) and the one back pass
-(`exactlap.readoff`) and wraps what they cut out.  Both reduce rows with
-the kernel's one integer row operation, `_clear`, in place; the back pass
-consumes the rows it reads, so each call eliminates afresh, and neither
-writes the caller's matrix or right-hand side.  A point plus a
-spanning set is put in canonical form as such an image.
-`AffineSubspace.member` is the only code that reads the canonical form as
-a parametrisation of the set: membership tests, the subset test and the
-solver's lift go through it.
+The direction space is kept as its reduced row echelon basis and the point
+is zeroed on the basis pivot columns, so equal sets have equal fields and
+the solver detects stabilization by tuple comparison.  `solution_image`
+reads a set off one elimination (see `exactlap.kernel`), and
+`AffineSubspace.member` is the only code that reads the form as a parametrisation.
 """
 
 from __future__ import annotations
@@ -138,13 +127,9 @@ class AffineSubspace:
 def solution_image(a: RationalMatrix, b: Sequence[Fraction], k: int) -> AffineSubspace:
     """Canonical image of the solution set of ``a x = b`` on its first ``k`` coordinates.
 
-    `_eliminate` takes the columns from the right, so the unknowns from
-    column ``k`` on come first.  Each of them is then pivoted (solvable
-    from the others) or free, so the rows left without a pivot, which
-    involve only the first ``k`` unknowns, cut out the image exactly.
-    The first ``k`` columns follow, still from the right, and `_read_off`
-    writes the canonical form down, consuming the rows of this call's own
-    elimination.
+    One `_eliminate` of ``a`` and ``b``, read off at ``k`` by `_read_off`,
+    which consumes the rows of this call's own elimination; `exactlap.kernel`
+    tells why the rows left without a pivot cut out the image.
     """
     if a.rows != len(b):
         raise DimensionMismatch(

@@ -209,7 +209,7 @@ def test_certify_mode_reports_exact_determinant(capsys):
 
 
 def test_certify_failure_is_an_anomaly(capsys, monkeypatch):
-    bad = Certificate(radius=1, strict_inclusion=True, determinant=Fraction(0), passes=False)
+    bad = Certificate(strict_inclusion=True, determinant=Fraction(0), passes=False)
     monkeypatch.setattr(reports_module, "max_principle_certificate", lambda *a, **k: bad)
     code, out, _ = invoke(capsys, ["--graph", "z", "--mode", "certify", "--radius", "1"])
     assert code == EXIT_ANOMALY
@@ -699,6 +699,23 @@ def test_deeply_nested_specs_exit_3(capsys, tmp_path, flag, what, spec, inline):
     source = f"inline {what} spec" if inline else f"{what} spec file {str(path)!r}"
     code, out, err = invoke(capsys, ["--mode", "ball", "--radius", "1", flag, spec if inline else str(path)])
     assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {source} is nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "flag, what, spec, key",
+    [("--graph", "graph", '{"family":"ladder","width":2,"width":3}', "width"),
+     ("--target", "target", '{"kind":"delta","kind":"zero"}', "kind"),
+     ("--target", "target", '{"kind":"sparse","entries":{"1":"1","1":"2"}}', "1"),
+     ("--lambda", "weight", '{"kind":"constant","value":"1","value":"2"}', "value")],
+    ids=["graph", "target-kind", "entries", "weight"],
+)
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_a_json_object_that_repeats_a_key_exits_3(capsys, tmp_path, flag, what, spec, key, inline):
+    path = tmp_path / "twice.json"
+    path.write_text(spec)
+    source = f"inline {what} spec" if inline else f"{what} spec file {str(path)!r}"
+    code, out, err = invoke(capsys, ["--mode", "ball", "--radius", "1", flag, spec if inline else str(path)])
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {source} names key {key!r} twice\n")
 
 
 def test_deeply_nested_fixtures_entry_exits_3(capsys, tmp_path):

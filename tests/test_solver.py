@@ -74,7 +74,6 @@ def test_line_delta_radius_one_known_values():
     rep = solve_on_ball(line_oracle(), DELTA, 1, LAM0)
     assert rep.solution.values == (2, 1, 1)
     assert rep.residual_ok
-    assert rep.construction == "ball"
     assert rep.metric_bound == Fraction(1, 4)
 
 
@@ -530,7 +529,6 @@ def test_coherent_family_has_exact_prefix_coherence(make):
     applied = apply_laplacian(oracle, top, LAM0)
     assert applied.values == DELTA.on_ball(inner).values
     assert result.report.residual_ok
-    assert result.report.construction == "ml"
     assert result.report.metric_bound == Fraction(1, 16)
 
 

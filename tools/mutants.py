@@ -13,7 +13,8 @@ has not been noticed.  Nothing under ``src/`` is written.
 
     python tools/mutants.py
 
-Prints one line per mutant and the kill count; exits 1 when a mutant
+Runs `WORKERS` mutants at a time, and prints one line per mutant, in list
+order as the results arrive, then the kill count; exits 1 when a mutant
 survives or does not apply.  A surviving mutant marks a test still to
 write, not an entry to drop.
 """
@@ -25,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -35,6 +37,8 @@ OPERATOR_TESTS = "tests/test_operators.py::"
 
 # wall-clock limit of one mutant's pytest run; the slowest kill takes a few seconds
 TIMEOUT_S = 300
+# pytest children at a time, one per core of a 2-core box
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -203,6 +207,12 @@ MUTANTS = (
         ("tests/test_cli.py::test_graph_shorthands",),
     ),
     Mutant(
+        "a repeated JSON key keeps its last value", "specs.py",
+        "            if key in seen:\n",
+        "            if False:\n",
+        ("tests/test_cli.py::test_a_json_object_that_repeats_a_key_exits_3",),
+    ),
+    Mutant(
         "solution values write whole numbers as p/1", "wire.py",
         "    return {label: str(x) for label, x in fn.label_items()}\n",
         '    return {label: f"{x.numerator}/{x.denominator}" for label, x in fn.label_items()}\n',
@@ -236,10 +246,11 @@ def run(mutant: Mutant) -> str:
 
 def main() -> int:
     killed = 0
-    for mutant in MUTANTS:
-        outcome = run(mutant)
-        killed += outcome == "killed"
-        print(f"{outcome:12s} {mutant.module:13s} {mutant.name}", flush=True)
+    # the children run WORKERS at a time; map hands their outcomes back in list order
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        for mutant, outcome in zip(MUTANTS, pool.map(run, MUTANTS)):
+            killed += outcome == "killed"
+            print(f"{outcome:12s} {mutant.module:13s} {mutant.name}", flush=True)
     print(f"{killed} of {len(MUTANTS)} mutants killed")
     return 0 if killed == len(MUTANTS) else 1
 
