@@ -29,11 +29,6 @@ from .subspace import AffineSubspace, solution_image
 __all__ = ("ChainState", "run_chain")
 
 
-def _dim_rank(s: AffineSubspace) -> int:
-    # orders the empty set below every genuine dimension
-    return -1 if s.is_empty else len(s.basis)
-
-
 class ChainState(Record):
     """Images of the solution sets at one level, across increasing depths.
 
@@ -105,7 +100,7 @@ def run_chain(
         if prev is None or subspace_equal(img, prev):
             run_length += 1
         else:
-            if _dim_rank(img) >= _dim_rank(prev):
+            if not img.is_empty and (prev.is_empty or img.dim >= prev.dim):
                 raise ChainViolation(f"image dimension did not drop where it changed at depth {m}")
             if not affine_subset(img, prev):
                 raise ChainViolation(

@@ -157,7 +157,7 @@ def prodiscrete_distance(
     first_disagreement: int | None = None
     for v in scope.vertices:
         if f.values[v] != h.values[v]:
-            first_disagreement = scope.distances[v]
+            first_disagreement = scope.oracle.distance(v)
             break
     tail = _tail(depth)
     if first_disagreement is None:

@@ -6,7 +6,8 @@ order: id 0 is the root, and vertices are expanded strictly in id order, so
 ids sort by (distance to root, discovery order) no matter how callers
 interleave queries.  Two consequences the rest of the package leans on:
 
-* the closed ball of radius n is exactly the id prefix ``0..|B_n|-1``;
+* the closed ball of radius n is exactly the id prefix ``0..|B_n|-1``, so a
+  `Ball` records only its size, and a distance is read from the oracle;
 * matrices indexed by ball order are reproducible across runs.
 
 Neighbor lists keep the order the family documents, which fixes the id
@@ -112,17 +113,16 @@ class GraphOracle:
 
 
 class Ball(Record):
-    """Closed ball around the root: an id prefix with per-vertex distances."""
+    """Closed ball around the root: the id prefix ``range(size)``; a vertex's distance is the oracle's."""
 
     oracle: GraphOracle
     radius: int
-    vertices: tuple[int, ...]
-    distances: tuple[int, ...]
+    size: int
     boundary_saturated: bool
 
     @property
-    def size(self) -> int:
-        return len(self.vertices)
+    def vertices(self) -> range:
+        return range(self.size)
 
 
 def enumerate_ball(oracle: GraphOracle, n: int) -> Ball:
@@ -130,15 +130,7 @@ def enumerate_ball(oracle: GraphOracle, n: int) -> Ball:
     if n < 0:
         raise ValueError("ball radius must be nonnegative")
     oracle._expand_through_distance(n)
-    # every vertex of distance <= n+1 is now discovered; distances are
-    # non-decreasing in id, so the ball is an id prefix
-    dist = oracle._dist
-    size = sum(1 for d in dist if d <= n)
-    saturated = len(dist) == size
-    return Ball(
-        oracle=oracle,
-        radius=n,
-        vertices=tuple(range(size)),
-        distances=tuple(dist[:size]),
-        boundary_saturated=saturated,
-    )
+    # every vertex of distance <= n+1 is now discovered; a distance never
+    # decreases as the id grows, so the ball is an id prefix
+    size = sum(1 for d in oracle._dist if d <= n)
+    return Ball(oracle=oracle, radius=n, size=size, boundary_saturated=len(oracle._dist) == size)

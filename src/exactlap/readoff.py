@@ -26,11 +26,8 @@ def _read_off(
     cleared of the pivot columns taken after it by `_clear`, in place,
     which leaves it with its pivot, columns that never pivot, and its
     right-hand side.  A cleared row lends `_clear` its entries without its
-    pivot entry, which is put back at the end.  The rows are consumed:
-    they no longer hold what `_eliminate` returned, and no other reader
-    may use them, except `_read_off` itself at another prefix, since a row
-    it has cleared has nothing left to clear and still stands for the same
-    equation.
+    pivot entry.  The rows are consumed: they no longer hold what
+    `_eliminate` returned, and no other reader may use them.
     The kernel takes every column from the right, so the unknowns from
     ``k`` on were pivoted first and the columns below ``k`` that never
     pivot are the reduced-echelon pivot columns of the direction space: the
@@ -60,5 +57,4 @@ def _read_off(
                 particular[c] = Fraction(x, qc)
             else:
                 basis[j][c] = Fraction(-x, qc)
-        r[c] = qc  # the pivot goes back, so the rows still read at any other prefix
     return tuple(particular), tuple(tuple(basis[f]) for f in free), tuple(free)

@@ -62,7 +62,6 @@ from exactlap.operators import (
     restriction_matrix,
     truncated_operator_matrix,
 )
-from exactlap.readoff import _read_off
 from exactlap.solver import coherent_solution
 
 import exactlap.solver as solver_module
@@ -353,20 +352,6 @@ def test_solution_image_leaves_its_inputs_as_they_were(case):
     assert [dict(r) for r in a.sparse_rows] == a_rows and b == b_before
     second = solution_image(a, b, k)
     assert_same_subspace(second, first)
-
-
-@settings(max_examples=200, deadline=None)
-@given(image_case(), st.booleans())
-def test_one_elimination_serves_every_prefix(case, decreasing):
-    """The back pass clears pivot rows in place, yet one elimination read
-    at every prefix, in increasing or decreasing order, gives the sets of a
-    fresh elimination per prefix."""
-    rows, b, _ = case
-    a = dense_matrix(rows)
-    reduced, pivots, _, _ = _eliminate(a, b)
-    prefixes = range(a.cols, -1, -1) if decreasing else range(a.cols + 1)
-    for k in prefixes:
-        assert _read_off(reduced, pivots, a.cols, k) == _read_off(*_eliminate(a, b)[:2], a.cols, k)
 
 
 def test_image_prefix_bounds():

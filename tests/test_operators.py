@@ -106,7 +106,7 @@ def test_weight_shifts_constants_to_weighted_values():
     const = BallFunction(ball, (Fraction(3),) * ball.size)
     image = apply_laplacian(oracle, const, LambdaField.distance())
     inner = enumerate_ball(oracle, 1)
-    assert image.values == tuple(3 * inner.distances[v] for v in inner.vertices)
+    assert image.values == tuple(3 * oracle.distance(v) for v in inner.vertices)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -289,7 +289,7 @@ def test_radial_target_uses_distance_profile():
     tgt = TargetFunction.radial([Fraction(1), Fraction(1, 2)])
     values = tgt.on_ball(ball).values
     for v in ball.vertices:
-        d = ball.distances[v]
+        d = oracle.distance(v)
         assert values[v] == (Fraction(1, 2) ** d if d <= 1 else 0)
 
 
@@ -354,7 +354,7 @@ def test_closed_forms_match_their_definitions(name, make_oracle, radius):
     ball = enumerate_ball(oracle, radius)
     values = [field.value(oracle, v) for v in ball.vertices]
     assert all(type(x) is Fraction for x in values)
-    assert values == [definition(v, ball.distances[v]) for v in ball.vertices]
+    assert values == [definition(v, oracle.distance(v)) for v in ball.vertices]
     assert repr(field) == text
     if isinstance(field, TargetFunction):
         assert field.on_ball(ball).values == tuple(values)

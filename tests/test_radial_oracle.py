@@ -74,4 +74,4 @@ def test_ball_solution_matches_the_radial_closed_form(family, weight):
         report = solve_on_ball(oracle, target, n, lam_field())
         want = radial_ball_solution(degree, n, lambda d: COEFFS[d] if d < len(COEFFS) else Fraction(0), lam)
         assert report.residual_ok
-        assert report.solution.values == tuple(want[d] for d in report.solution.ball.distances)
+        assert report.solution.values == tuple(want[oracle.distance(v)] for v in report.solution.ball.vertices)

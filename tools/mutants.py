@@ -69,12 +69,6 @@ MUTANTS = (
         (KERNEL_TESTS + "test_solution_image_leaves_its_inputs_as_they_were",),
     ),
     Mutant(
-        "back pass empties the rows it reads", "readoff.py",
-        "            r = rows[p]\n",
-        "            r, rows[p] = rows[p], {}\n",
-        (KERNEL_TESTS + "test_one_elimination_serves_every_prefix",),
-    ),
-    Mutant(
         "apply_laplacian takes a function on another graph", "operators.py",
         "    if f.ball.oracle is not oracle:\n",
         "    if False:\n",
@@ -99,8 +93,14 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_custom_root_outside_the_graph_exits_3",),
     ),
     Mutant(
+        "custom graph takes a repeated edge", "finite.py",
+        "        if j in adj[i]:\n",
+        "        if False:\n",
+        ("tests/test_graphs.py::test_custom_names_a_repeated_edge",),
+    ),
+    Mutant(
         "chain misses an image that changed without losing dimension", "chain.py",
-        "            if _dim_rank(img) >= _dim_rank(prev):\n",
+        "            if not img.is_empty and (prev.is_empty or img.dim >= prev.dim):\n",
         "            if False:\n",
         ("tests/test_cli.py::test_chain_reports_an_image_that_changed_without_losing_dimension",),
     ),
