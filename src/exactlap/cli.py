@@ -45,13 +45,12 @@ from .errors import (
     VertexBudgetExceeded,
 )
 from .direct import solve_on_ball  # kept for the benchmark's self-test
-from .flags import (  # all six exit codes stay importable from here
+from .flags import (
     EXIT_ANOMALY,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_OVER_BUDGET,
     EXIT_USAGE,
-    EXIT_WINDOW_EXCEEDED,
     parse_flags,
     usage_error,
 )
@@ -85,11 +84,10 @@ def run_cli(argv: list[str]) -> int:
             target = target_from_text(args.target)
             try:
                 fields, code = _REPORTS[args.mode](args, oracle, target, lam, args.radius)
-                report = {"mode": args.mode, "graph": oracle.name, "target": args.target,
+                report = {"graph": oracle.name, "target": args.target,
                           "lambda": describe_lambda(lam), **fields}
             except SingularSystem as e:
                 degenerate, report = e, {
-                    "mode": args.mode,
                     "radius": e.radius,
                     "status": "singular",
                     "singular_expected_finite": e.boundary_saturated,
@@ -97,12 +95,11 @@ def run_cli(argv: list[str]) -> int:
                 }
             except EmptyUniversalSet as e:
                 degenerate, report = e, {
-                    "mode": args.mode,
                     "level": e.level,
                     "status": "no_universal_element",
                     "unsolvable_expected_finite": e.boundary_saturated,
                 }
-        text = dump_report(report)
+        text = dump_report({"mode": args.mode, **report})
         if args.out is not None and args.mode != "fixtures":
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -104,7 +104,6 @@ def fixtures_report(args) -> tuple[dict, int]:
         usage_error("--radius must be nonnegative")
     files, sound = emit_fixtures(args.seed, families, max_radius, args.out)
     report = {
-        "mode": "fixtures",
         "seed": args.seed,
         "out": args.out,
         "files": files,

@@ -130,8 +130,6 @@ def _classify(token: str) -> tuple[str | None, str | None] | None:
     """None for a value, else (flag, text after ``=`` or None); flag None if unknown."""
     if not token.startswith("-") or token == "-":
         return None
-    if token in _OPTIONS:
-        return token, None
     name, eq, explicit = token.partition("=")
     explicit = explicit if eq else None
     if name in _OPTIONS:

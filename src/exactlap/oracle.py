@@ -81,10 +81,6 @@ class GraphOracle:
         self._dist += [self._dist[i] + 1] * len(new)
         self._adj.append(tuple(ids))
 
-    def _expand_through_distance(self, limit: int) -> None:
-        while len(self._adj) < len(self._keys) and self._dist[len(self._adj)] <= limit:
-            self._expand_next()
-
     def _check(self, v: int) -> None:
         if not 0 <= v < len(self._keys):
             raise ValueError(f"vertex id {v} has not been discovered")
@@ -129,7 +125,8 @@ def enumerate_ball(oracle: GraphOracle, n: int) -> Ball:
     """Enumerate the closed ball of radius n, probing n+1 for saturation."""
     if n < 0:
         raise ValueError("ball radius must be nonnegative")
-    oracle._expand_through_distance(n)
+    while len(oracle._adj) < len(oracle._keys) and oracle._dist[len(oracle._adj)] <= n:
+        oracle._expand_next()
     # every vertex of distance <= n+1 is now discovered; a distance never
     # decreases as the id grows, so the ball is an id prefix
     size = sum(1 for d in oracle._dist if d <= n)

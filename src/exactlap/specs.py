@@ -42,11 +42,10 @@ def _load_spec_text(text: str, what: str) -> dict:
         return dict(pairs)
 
     try:
-        if inline:
-            obj = json.loads(text, object_pairs_hook=unique_keys)
-        else:
+        if not inline:
             with open(text, "r", encoding="utf-8") as fh:
-                obj = json.load(fh, object_pairs_hook=unique_keys)
+                text = fh.read()
+        obj = json.loads(text, object_pairs_hook=unique_keys)
     except OSError as e:
         raise SpecFormatError(f"{source} cannot be read: {e.strerror}") from None
     except UnicodeDecodeError:

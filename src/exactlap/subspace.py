@@ -78,10 +78,6 @@ class AffineSubspace:
         s.is_empty = True
         return s
 
-    @classmethod
-    def from_point(cls, point: Sequence[Fraction]) -> "AffineSubspace":
-        return cls(len(point), point)
-
     @property
     def dim(self) -> int | None:
         """Affine dimension, or None for the empty set."""

@@ -15,18 +15,19 @@ from hypothesis import strategies as st
 
 from dense_oracle import full_space
 from exactlap.chain import ChainState
-from exactlap.cli import (
+from exactlap.cli import run_cli
+from exactlap.direct import Certificate, solve_on_ball
+from exactlap.errors import SingularSystem, SpecFormatError
+from exactlap.flags import (
     EXIT_ANOMALY,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_OVER_BUDGET,
     EXIT_USAGE,
     EXIT_WINDOW_EXCEEDED,
-    run_cli,
+    MODES,
+    SCHEMA_HELP,
 )
-from exactlap.direct import Certificate, solve_on_ball
-from exactlap.errors import SingularSystem, SpecFormatError
-from exactlap.flags import MODES, SCHEMA_HELP
 from exactlap.functions import BallFunction, TargetFunction
 from exactlap.graphs import _FAMILIES, enumerate_ball, grid_oracle
 from exactlap.linalg import AffineSubspace
@@ -260,7 +261,7 @@ def corrupt_ball_solves(monkeypatch, size=None):
         point = real(matrix, rhs).particular
         if size is None or len(point) == size:
             point = (point[0] + 1,) + point[1:]
-        return AffineSubspace.from_point(point)
+        return AffineSubspace(len(point), point)
 
     monkeypatch.setattr(direct_module, "solve_exact", corrupted)
 
@@ -305,7 +306,7 @@ def test_coherent_lift_failure_is_an_anomaly(capsys, monkeypatch):
         if n < 1:
             return state
         m, img = state.images[-1]
-        point = AffineSubspace.from_point((img.particular[0] + 1,) + img.particular[1:])
+        point = AffineSubspace(len(img.particular), (img.particular[0] + 1,) + img.particular[1:])
         return ChainState(
             level=state.level,
             max_m=state.max_m,
@@ -608,6 +609,24 @@ def test_invalid_inputs_exit_3(capsys, tmp_path, argv):
     assert out == ""
     assert "invalid input" in err
     assert [p.name for p in tmp_path.iterdir()] == ["latin1.json"]  # nothing written
+
+
+@pytest.mark.parametrize(
+    "flag, content, message",
+    [("--graph", None, "graph spec file {path!r} cannot be read: Is a directory"),
+     ("--target", b'{"kind":"\xe9"}', "target spec file {path!r} is not UTF-8 text"),
+     ("--lambda", b'{"kind": ', "weight spec file {path!r} is not valid JSON: Expecting value: line 1 column 10 (char 9)"),
+     ("--target", b"[1, 2]", "target spec must be a JSON object, got list")],
+    ids=["directory", "not-utf8", "not-json", "not-an-object"],
+)
+def test_a_spec_file_that_cannot_be_read_names_why(capsys, tmp_path, flag, content, message):
+    path = tmp_path / "spec.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = invoke(capsys, ["--mode", "ball", "--radius", "1", flag, str(path)])
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message.format(path=str(path))}\n")
 
 
 def test_a_custom_root_outside_the_graph_exits_3(capsys):

@@ -11,8 +11,7 @@ echelon form, and the levels of `coherent_solution` with the former pinned
 lift.  Structural checks, with no oracle, assert the canonical form of
 every image itself, the order in which the kernel takes its pivots, the
 absence of fill on trees and the kernel's traced peak memory; the one
-integer row operation is checked against its defining identity, and one
-elimination, consumed by the back pass, against a fresh one per prefix.
+integer row operation is checked against its defining identity.
 """
 
 import math

@@ -220,7 +220,7 @@ def test_membership_checks():
 
 
 def test_point_and_full_constructors():
-    p = AffineSubspace.from_point([Fraction(2), Fraction(3)])
+    p = AffineSubspace(2, [Fraction(2), Fraction(3)])
     assert p.dim == 0 and p.particular == (2, 3)
     f = full_space(3)
     assert f.dim == 3
@@ -228,7 +228,7 @@ def test_point_and_full_constructors():
 
 
 def test_affine_subset_relations():
-    point = AffineSubspace.from_point([Fraction(1), Fraction(2), Fraction(2)])
+    point = AffineSubspace(3, [Fraction(1), Fraction(2), Fraction(2)])
     line = AffineSubspace(3, [Fraction(1), Fraction(0), Fraction(0)], [[0, 1, 1]])
     plane = AffineSubspace(3, [Fraction(1), Fraction(0), Fraction(0)], [[0, 1, 1], [0, 0, 1]])
     empty = AffineSubspace.empty(3)

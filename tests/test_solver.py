@@ -574,7 +574,7 @@ def off_by_one_at_the_root(solve):
 
     def corrupted(matrix, rhs):
         point = solve(matrix, rhs).particular
-        return AffineSubspace.from_point((point[0] + 1,) + point[1:])
+        return AffineSubspace(len(point), (point[0] + 1,) + point[1:])
 
     return corrupted
 

@@ -5,7 +5,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import py_compile
 import shutil
+import sys
 from pathlib import Path
 
 from exactlap.cli import run_cli
@@ -50,17 +52,36 @@ def test_two_trees_give_the_shape_and_the_in_process_digests(capsys):
             assert (entry[side]["exit_code"], entry[side]["stdout_sha256"]) == (code, digest)
 
 
-def test_a_changed_report_exits_1(tmp_path, capsys):
+def _copy_with_indent_1(tmp_path, wire):
+    """Copy src/ to tmp_path / "src" and write wire.py with reports indented by 1 to ``wire``."""
     copy = tmp_path / "src"
     shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    wire = copy / "exactlap" / "wire.py"
-    text = wire.read_text(encoding="utf-8")
+    text = (copy / "exactlap" / "wire.py").read_text(encoding="utf-8")
     old = "    return json.dumps(report, indent=2) + \"\\n\"\n"
     assert text.count(old) == 1
     wire.write_text(text.replace(old, old.replace("indent=2", "indent=1")), encoding="utf-8")
+    return copy
+
+
+def test_a_changed_report_exits_1(tmp_path, capsys):
+    copy = _copy_with_indent_1(tmp_path, tmp_path / "src" / "exactlap" / "wire.py")
     assert work.work([SRC, copy], LIGHT, 1) == 1
     report = json.loads(capsys.readouterr().out)
     for entry in report["requests"]:
         assert entry["same_output"] is False
         assert entry["parent"]["exit_code"] == entry["change"]["exit_code"] == 0
         assert entry["parent"]["stdout_sha256"] != entry["change"]["stdout_sha256"]
+
+
+def test_children_compile_the_package_and_read_no_bytecode_beside_it(tmp_path, capsys, monkeypatch):
+    """A stale .pyc in the tree's __pycache__, which Python reads unchecked, must not reach a child."""
+    scratch = tmp_path / "wire.py"
+    copy = _copy_with_indent_1(tmp_path, scratch)
+    wire = copy / "exactlap" / "wire.py"
+    monkeypatch.setattr(sys, "pycache_prefix", None)  # the cache path beside the source
+    py_compile.compile(str(scratch), cfile=importlib.util.cache_from_source(str(wire)), doraise=True,
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    assert work.work([copy], LIGHT, 1) == 0
+    report = json.loads(capsys.readouterr().out)
+    for entry in report["requests"]:
+        assert (entry["src"]["exit_code"], entry["src"]["stdout_sha256"]) == _stdout_digest(entry["argv"])

@@ -218,6 +218,24 @@ MUTANTS = (
         '    return {label: f"{x.numerator}/{x.denominator}" for label, x in fn.label_items()}\n',
         ("tests/test_cli.py::test_solution_json_writes_the_compact_integer_form",),
     ),
+    Mutant(
+        "a report's mode key comes last", "cli.py",
+        '        text = dump_report({"mode": args.mode, **report})\n',
+        '        text = dump_report({**report, "mode": args.mode})\n',
+        ("tests/test_cli.py::test_metric_solves_each_distinct_radius_once",),
+    ),
+    Mutant(
+        "spec JSON is parsed without the repeated-key hook", "specs.py",
+        "        obj = json.loads(text, object_pairs_hook=unique_keys)\n",
+        "        obj = json.loads(text)\n",
+        ("tests/test_cli.py::test_a_json_object_that_repeats_a_key_exits_3",),
+    ),
+    Mutant(
+        "enumerate_ball stops one distance short", "oracle.py",
+        "    while len(oracle._adj) < len(oracle._keys) and oracle._dist[len(oracle._adj)] <= n:\n",
+        "    while len(oracle._adj) < len(oracle._keys) and oracle._dist[len(oracle._adj)] < n:\n",
+        ("tests/test_cli.py::test_finite_chain_stabilizes_only_once_the_graph_is_saturated",),
+    ),
 )
 
 

@@ -2,15 +2,17 @@
 to show what a change does to the work, which start-up hides in the
 benchmark.
 
-Each request runs as a child ``python -m exactlap.cli`` with ``PYTHONPATH``
-naming one package tree, and its wall time (spawn to reap) and peak RSS
-come from `os.wait4`.  On Linux a child's ``ru_maxrss`` starts from the
-peak of the process that spawned it, so this tool imports only the
-standard library and keeps its own peak below any child's.  The children
-write no bytecode and find none (``PYTHONDONTWRITEBYTECODE=1`` and an
-empty ``PYTHONPYCACHEPREFIX``), so each one compiles every module it
-imports, the standard library's included, from source.  The SHA-256 of
-each stdout shows that a faster side gives the same answer.
+Each package tree is copied to a temporary directory without its
+``__pycache__`` folders, and each request runs as a child
+``python -m exactlap.cli`` with ``PYTHONPATH`` naming one copy; its wall
+time (spawn to reap) and peak RSS come from `os.wait4`.  On Linux a child's
+``ru_maxrss`` starts from the peak of the process that spawned it, so this
+tool imports only the standard library and keeps its own peak below any
+child's.  The children write no bytecode (``PYTHONDONTWRITEBYTECODE=1``)
+and run with no ``PYTHONPYCACHEPREFIX``, even when the caller has one, so
+each one compiles the package from source and reads the standard library
+from the interpreter's own cache, as a child of a fresh checkout does.
+The SHA-256 of each stdout shows that a faster side gives the same answer.
 
     python tools/work.py                    # the package in src/ beside tools/
     python tools/work.py PARENT/src src     # a parent and a change
@@ -31,6 +33,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,7 +52,10 @@ REQUESTS = [
     ["--mode", "ball", "--graph", "z2", "--radius", "25", "--lambda", "distance"],
 ]
 
-CACHE_STATE = "none: PYTHONDONTWRITEBYTECODE=1 and an empty PYTHONPYCACHEPREFIX, every child compiles every module"
+CACHE_STATE = (
+    "package: none, copied without __pycache__ and PYTHONDONTWRITEBYTECODE=1, every child compiles it;"
+    " standard library: the interpreter's own cache, no PYTHONPYCACHEPREFIX"
+)
 
 
 def fingerprint() -> dict:
@@ -118,13 +124,12 @@ def work(srcs: list[Path], requests: list[list[str]], rounds: int) -> int:
     names = ("parent", "change") if len(srcs) == 2 else ("src",)
     runs = {name: [[] for _ in requests] for name in names}
     with tempfile.TemporaryDirectory() as home:
-        cache = Path(home) / "pycache"
-        cache.mkdir()
-        envs = {
-            name: dict(os.environ, PYTHONPATH=str(Path(src).resolve()), PYTHONDONTWRITEBYTECODE="1",
-                       PYTHONPYCACHEPREFIX=str(cache))
-            for name, src in zip(names, srcs)
-        }
+        base = {key: value for key, value in os.environ.items() if key != "PYTHONPYCACHEPREFIX"}
+        envs = {}
+        for name, src in zip(names, srcs):
+            copy = Path(home) / name
+            shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+            envs[name] = dict(base, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
         for r in range(rounds):
             for i, argv in enumerate(requests):
                 for name in names if r % 2 == 0 else names[::-1]:
