@@ -30,12 +30,17 @@ solution sets and their images on a prefix of the coordinates:
   exactly, and each later pivot sits at its row's rightmost column; one
   elimination therefore serves any prefix;
 * one back pass, `exactlap.readoff._read_off`, reads the canonical set
-  off a result at a prefix, whose columns that never pivot are the
-  reduced-echelon pivot columns of the direction space (its docstring
-  says why); it clears each pivot row of the pivot columns taken after
-  it with `_clear`, in place, so it consumes the rows it reads, and
-  `exactlap.subspace.solution_image` hands it a fresh elimination on
-  every call; neither pass writes the caller's matrix or right-hand side;
+  off a result at a prefix, whose columns that never pivot are its free
+  columns (its docstring says why); it clears each pivot row of the
+  pivot columns taken after it with `_clear`, in place, so it consumes
+  the rows it reads, and `exactlap.subspace.solution_image` hands it a
+  fresh elimination on every call; neither pass writes the caller's
+  matrix or right-hand side;
+* the cleared rows are the set: each is primitive, and once its pivot
+  entry is made positive it is unique, so `AffineSubspace` stores them as
+  they are, compares and hashes them, solves them for a member and
+  derives its canonical point and basis from them; no `Fraction` is
+  built until a member is asked for;
 * `_eliminate` is the only code that chooses pivots and `_read_off` the
   only code that back-reduces: `exactlap.linalg.solve_exact` is the image
   on all of the coordinates, whatever the shape and rank, and a point

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over the rationals; no floating point anywhere.
 
 The determinant, `solve_exact` and the subspace comparisons, built on the
-one elimination kernel (`exactlap.kernel`, which describes it) and on the
-canonical `AffineSubspace` (`exactlap.subspace`).  `image_under_map`, which
+one elimination kernel (`exactlap.kernel`, which describes it) and on
+`AffineSubspace` (`exactlap.subspace`), which is the cleared integer rows
+of its set: `subspace_equal` compares rows, and `affine_subset` reads the
+canonical point and basis derived from them.  `image_under_map`, which
 nothing in the package calls, and the rebuild of a unique point through the
 `AffineSubspace` constructor in `solve_exact` are kept for the benchmark's
 tracer only.
@@ -49,7 +51,7 @@ def solve_exact(a: RationalMatrix, b: Sequence[Fraction]) -> AffineSubspace:
     """
     s = solution_image(a, b, a.cols)
     # already canonical; perfbench's tracer counts a point built by the constructor
-    return s if s.is_empty or s.basis else AffineSubspace(a.cols, s.particular)
+    return s if s.dim != 0 else AffineSubspace(a.cols, s.particular)
 
 
 def image_under_map(s: AffineSubspace, m: RationalMatrix) -> AffineSubspace:
@@ -77,7 +79,7 @@ def _same_space(s1: AffineSubspace, s2: AffineSubspace) -> None:
 
 
 def subspace_equal(s1: AffineSubspace, s2: AffineSubspace) -> bool:
-    """Point-set equality, decided by comparing canonical forms."""
+    """Point-set equality, decided by comparing the cleared rows."""
     _same_space(s1, s2)
     return s1 == s2
 
@@ -87,8 +89,7 @@ def affine_subset(inner: AffineSubspace, outer: AffineSubspace) -> bool:
     _same_space(inner, outer)
     if inner.is_empty:
         return True
-    if outer.is_empty:
-        return False
+    # an empty outer set contains no point
     if not outer.contains(inner.particular):
         return False
     # with the point inside, v is a direction of outer exactly when point + v is a member

@@ -33,10 +33,12 @@ __all__ = ("CoherentResult", "coherent_solution", "universal_element")
 def _lift(chain: ChainState, prefix: tuple[Fraction, ...]) -> BallFunction:
     """The member of the chain's stabilized image that extends ``prefix``.
 
-    ``img.member(prefix)`` is the only member that can extend the prefix:
-    it agrees with the prefix on the basis pivot columns inside it, and a
-    basis vector pivoted outside the prefix vanishes on all of it.  The
-    empty prefix therefore gives the canonical point.  Raises
+    ``img.member(prefix)`` is the only member that can extend the prefix
+    and is 0 on the free columns outside it: it agrees with the prefix on
+    the free columns inside it, and the row of a solved column inside the
+    prefix holds only free columns below that column, so the free columns
+    outside the prefix change nothing on it.  The empty prefix therefore
+    gives the canonical point.  Raises
     EmptyUniversalSet on an empty image and LiftFailed, rather than a
     guess, when that member does not extend the prefix.
     """

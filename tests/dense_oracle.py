@@ -5,13 +5,15 @@ oracle.  `bareiss_forward` works on plain lists of rows, scales each row
 to integers once, eliminates column by column in natural order with exact
 one-step divisions, and `dense_solve` back-substitutes in fractions.
 `rref` is the former dense reduced row echelon pass; `canonical` uses it
-to put a point and a spanning set in the package's canonical
-`AffineSubspace` form, so the two paths can be compared by equality, and
-`dense_contains` to decide membership in a point plus a spanning set.
+to put a point and a spanning set in canonical form, returned as its own
+``(particular, basis, pivot_cols)`` triple of tuples: the reduced row
+echelon basis, its pivot columns, and the point zeroed on them.  The
+tests compare an `AffineSubspace`'s derived views of the same names with
+it.  `dense_contains` decides membership in a point plus a spanning set.
 `cofactor_det` is the Laplace-expansion determinant, exponential in the
 size and written with no elimination at all.
-Nothing here builds an `AffineSubspace` from a spanning set or calls the
-package's images: the canonical fields are computed here and only wrapped.
+Nothing here calls the package's images: every canonical form is computed
+here, and the empty set is None.
 
 `dense_images` is the former chain route on top of it: the whole solution
 set, canonicalized, then cut to a prefix of its coordinates.
@@ -21,8 +23,9 @@ prefix.
 
 `dense_matrix` builds a sparse `RationalMatrix` from dense rows through
 `RationalMatrix.from_rows`, the package's one constructor, and
-`full_space` writes the whole space down in canonical form.  Both were
-package code that only tests called.
+`full_space` builds the whole space as an `AffineSubspace`, from the zero
+point and the identity spanning set, for tests that need one as input.
+Both were package code that only tests called.
 """
 
 from __future__ import annotations
@@ -44,10 +47,14 @@ def dense_matrix(rows: Sequence[Sequence[Fraction]]) -> RationalMatrix:
     return RationalMatrix.from_rows(({j: x for j, x in enumerate(r) if x} for r in rows), cols)
 
 
+# (particular, basis, pivot_cols) of a nonempty set; None is the empty set
+Canonical = tuple[tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...], tuple[int, ...]] | None
+
+
 def full_space(n: int) -> AffineSubspace:
-    """All of Q^n: the zero point, the identity basis, every column a pivot."""
-    basis = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    return AffineSubspace._canonical(n, (Fraction(0),) * n, basis, tuple(range(n)))
+    """All of Q^n, spanned from the zero point by the identity."""
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return AffineSubspace(n, [Fraction(0)] * n, identity)
 
 
 def rref(vectors: Sequence[Sequence[Fraction]], ambient: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -74,7 +81,7 @@ def rref(vectors: Sequence[Sequence[Fraction]], ambient: int) -> tuple[list[list
     return rows[:r], pivots
 
 
-def canonical(ambient: int, point: Sequence[Fraction], span: Sequence[Sequence[Fraction]]) -> AffineSubspace:
+def canonical(ambient: int, point: Sequence[Fraction], span: Sequence[Sequence[Fraction]]) -> Canonical:
     """``point + span`` in canonical form: rref basis, point zeroed on its pivot columns."""
     rows, pivots = rref(span, ambient)
     reduced = [Fraction(x) for x in point]
@@ -82,7 +89,7 @@ def canonical(ambient: int, point: Sequence[Fraction], span: Sequence[Sequence[F
         coef = reduced[c]
         if coef:
             reduced = [a - coef * b for a, b in zip(reduced, row)]
-    return AffineSubspace._canonical(ambient, tuple(reduced), tuple(map(tuple, rows)), tuple(pivots))
+    return tuple(reduced), tuple(map(tuple, rows)), tuple(pivots)
 
 
 def dense_contains(point: Sequence[Fraction], span: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> bool:
@@ -172,12 +179,13 @@ def cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return total
 
 
-def dense_solve(rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction]) -> AffineSubspace:
+def dense_solve(rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction]) -> Canonical:
+    """The canonical solution set of ``rows x = b``, None when it is empty."""
     aug = [integer_row(list(row) + [Fraction(x)])[0] for row, x in zip(rows, b)]
     pivots, _ = bareiss_forward(aug, ncols)
     rank = len(pivots)
     if any(aug[i][ncols] for i in range(rank, len(aug))):
-        return AffineSubspace.empty(ncols)
+        return None
     pivot_set = set(pivots)
     free_cols = [j for j in range(ncols) if j not in pivot_set]
     wanted = free_cols + [ncols]
@@ -212,12 +220,13 @@ def dense_solve(rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Frac
 
 def dense_images(
     rows: Sequence[Sequence[Fraction]], ncols: int, b: Sequence[Fraction], prefixes: Sequence[int]
-) -> tuple[AffineSubspace, list[AffineSubspace]]:
+) -> tuple[Canonical, list[Canonical]]:
     """The dense solution set of ``rows x = b`` and its image on each prefix of the coordinates."""
     deep = dense_solve(rows, ncols, b)
-    if deep.is_empty:
-        return deep, [AffineSubspace.empty(k) for k in prefixes]
-    return deep, [canonical(k, deep.particular[:k], [v[:k] for v in deep.basis]) for k in prefixes]
+    if deep is None:
+        return deep, [None] * len(prefixes)
+    particular, basis, _ = deep
+    return deep, [canonical(k, particular[:k], [v[:k] for v in basis]) for k in prefixes]
 
 
 def pinned_lift(image: AffineSubspace, prefix: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -228,10 +237,10 @@ def pinned_lift(image: AffineSubspace, prefix: Sequence[Fraction]) -> tuple[Frac
     pinned = [[image.basis[j][i] for j in range(k)] for i in range(len(prefix))]
     gap = [x - p for x, p in zip(prefix, image.particular)]
     t_set = dense_solve(pinned, k, gap)
-    if t_set.is_empty:
+    if t_set is None:
         return None
     y = list(image.particular)
-    for coef, row in zip(t_set.particular, image.basis):
+    for coef, row in zip(t_set[0], image.basis):
         if coef:
             y = [a + coef * b for a, b in zip(y, row)]
     return tuple(y)

@@ -1,9 +1,9 @@
 """The sparse elimination kernel against the dense Bareiss oracle.
 
 Determinants must agree exactly, and solution sets and their images on a
-prefix of the coordinates must be equal as canonical affine subspaces (by
-`==` and by pivot columns), on random rational matrices of every shape and
-on the operator matrices of every built-in graph family.  The images are
+prefix of the coordinates must have the canonical point, basis and pivot
+columns that the oracle computes on its own, on random rational matrices of
+every shape and on the operator matrices of every built-in graph family.  The images are
 compared with the former chain route: the whole dense solution set, then
 cut to a prefix.  Subspaces built from a point and a spanning set, and
 their images under a map, are compared with the oracle's own reduced row
@@ -11,7 +11,9 @@ echelon form, and the levels of `coherent_solution` with the former pinned
 lift.  Structural checks, with no oracle, assert the canonical form of
 every image itself, the order in which the kernel takes its pivots, the
 absence of fill on trees and the kernel's traced peak memory; the one
-integer row operation is checked against its defining identity.
+integer row operation is checked against its defining identity, and the
+rows the back pass leaves are checked to be the unique form that equality
+reads.
 """
 
 import math
@@ -47,6 +49,7 @@ from exactlap.graphs import (
     tree_oracle,
 )
 from exactlap.kernel import _clear, _eliminate
+from exactlap.readoff import _read_off
 from exactlap.linalg import (
     AffineSubspace,
     affine_subset,
@@ -99,8 +102,19 @@ def dependent_system(draw, nrows, ncols, consistent):
     return [rows[i] for i in order], [b[i] for i in order]
 
 
+def fields(s):
+    """The derived views of a subspace in the oracle's form: None for the empty set."""
+    return None if s.is_empty else (s.particular, s.basis, s.pivot_cols)
+
+
+def assert_same_subspace(got, want, ambient):
+    """``got`` lies in Q^ambient and has the oracle's canonical form ``want``."""
+    assert got.ambient_dim == ambient
+    assert fields(got) == want
+
+
 def assert_kernel_matches(rows, ncols, b):
-    assert solve_exact(dense_matrix(rows), b) == dense_solve(rows, ncols, b)
+    assert_same_subspace(solve_exact(dense_matrix(rows), b), dense_solve(rows, ncols, b), ncols)
 
 
 @settings(max_examples=150, deadline=None)
@@ -142,7 +156,7 @@ def test_inconsistent_systems_are_empty_like_the_oracle(sys_):
     rows, b = sys_
     sol = solve_exact(dense_matrix(rows), b)
     assert sol.is_empty
-    assert sol == dense_solve(rows, len(rows[0]), b)
+    assert_same_subspace(sol, dense_solve(rows, len(rows[0]), b), len(rows[0]))
 
 
 @st.composite
@@ -167,12 +181,7 @@ def test_positive_dimensional_sets_match_the_oracle(sys_):
     assert sol.contains(x)
     # rank is at most nrows - 1, so at least ncols - nrows + 1 free unknowns
     assert sol.dim >= ncols - len(rows) + 1
-    assert sol == dense_solve(rows, ncols, b)
-
-
-def assert_same_subspace(got, want):
-    assert got == want
-    assert got.pivot_cols == want.pivot_cols
+    assert_same_subspace(sol, dense_solve(rows, ncols, b), ncols)
 
 
 def assert_canonical(s):
@@ -214,8 +223,8 @@ def test_images_match_the_old_route(case):
     ncols = len(rows[0])
     deep, (want,) = dense_images(rows, ncols, b, [k])
     got = solution_image(dense_matrix(rows), b, k)
-    assert_same_subspace(got, want)
-    assert got.is_empty == deep.is_empty
+    assert_same_subspace(got, want, k)
+    assert got.is_empty == (deep is None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -273,11 +282,11 @@ def _dot(r, v):
 def test_spans_and_their_images_match_the_oracle(case):
     n, point, span, m = case
     s = AffineSubspace(n, point, span)
-    assert_same_subspace(s, canonical(n, point, span))
+    assert_same_subspace(s, canonical(n, point, span), n)
     assert_canonical(s)
     # the image of p + span(V) under M is M p + span(M V)
     want = canonical(len(m), [_dot(r, point) for r in m], [[_dot(r, v) for r in m] for v in span])
-    assert_same_subspace(image_under_map(s, dense_matrix(m)), want)
+    assert_same_subspace(image_under_map(s, dense_matrix(m)), want, len(m))
 
 
 @st.composite
@@ -350,7 +359,84 @@ def test_solution_image_leaves_its_inputs_as_they_were(case):
     first = solution_image(a, b, k)
     assert [dict(r) for r in a.sparse_rows] == a_rows and b == b_before
     second = solution_image(a, b, k)
-    assert_same_subspace(second, first)
+    assert second == first
+    assert fields(second) == fields(first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_case())
+def test_the_back_pass_leaves_primitive_rows_with_positive_pivots(case):
+    """What `solution_image` stores is what `_read_off` returns: one row per
+    pivot column below k, in increasing order, each primitive with a positive
+    pivot entry, its free columns below the pivot and in increasing order."""
+    rows, b, k = case
+    a = dense_matrix(rows)
+    reduced, pivots, _, _ = _eliminate(a, b)
+    cleared = _read_off(reduced, pivots, a.cols, k)
+    assert solution_image(a, b, k).rows == cleared
+    if cleared is None:
+        return
+    solved = [c for c, *_ in cleared]
+    assert solved == sorted(c for _, c in pivots if c < k)
+    for c, q, rhs, rest in cleared:
+        assert q > 0
+        assert math.gcd(q, rhs, *(e for _, e in rest)) == 1
+        assert [f for f, _ in rest] == sorted({f for f, _ in rest})
+        assert all(e and f < c and f not in solved for f, e in rest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(image_case())
+def test_one_set_built_three_ways_has_one_key_and_hash(case):
+    """An image read off an elimination, the same set spanned from the oracle's
+    point or a shifted one, and, for a point, the point itself and
+    `solve_exact`'s answer: equality and the hash read one form."""
+    rows, b, k = case
+    ncols = len(rows[0])
+    _, (want,) = dense_images(rows, ncols, b, [k])
+    built = [solution_image(dense_matrix(rows), b, k)]
+    if want is None:
+        built.append(AffineSubspace.empty(k))
+    else:
+        particular, basis, _ = want
+        shifted = [p + sum(v[j] for v in basis) for j, p in enumerate(particular)]
+        zero = [Fraction(0)] * k  # a spanning set that is never empty goes through the elimination
+        built += [AffineSubspace(k, particular, [*basis, zero]), AffineSubspace(k, shifted, [zero, *basis])]
+        if not basis:
+            built.append(AffineSubspace(k, particular))
+    if k == ncols:
+        built.append(solve_exact(dense_matrix(rows), b))
+    assert len({s._key() for s in built}) == 1
+    assert len({hash(s) for s in built}) == 1
+
+
+def test_a_negative_pivot_is_stored_as_the_positive_row():
+    """x_0 - 2 x_1 = 3 and -2 x = 1 are eliminated on the pivot entry -2; their
+    rows are stored negated, as a span and a point give them."""
+    a, b = dense_matrix([[1, -2]]), [Fraction(3)]
+    reduced, pivots, _, _ = _eliminate(a, b)
+    assert [reduced[p][c] for p, c in pivots] == [-2]
+    line = solution_image(a, b, 2)
+    assert line.rows == ((1, 2, -3, ((0, -1),)),)
+    assert line == AffineSubspace(2, [Fraction(3), Fraction(0)], [[Fraction(2), Fraction(1)]]) == solve_exact(a, b)
+    assert len({hash(line), hash(solve_exact(a, b))}) == 1
+    a, b = dense_matrix([[-2]]), [Fraction(1)]
+    point = solution_image(a, b, 1)
+    assert point.rows == ((0, 2, -1, ()),)
+    half = [Fraction(-1, 2)]
+    for same in (AffineSubspace(1, half), AffineSubspace(1, half, [[Fraction(0)]]), solve_exact(a, b)):
+        assert same._key() == point._key() and hash(same) == hash(point)
+
+
+def test_sets_that_differ_only_in_their_right_hand_sides_are_unequal():
+    """Parallel lines and distinct points share their pivot entries and free
+    columns; only the right-hand sides tell them apart."""
+    direction = [[Fraction(2), Fraction(1)]]
+    line = AffineSubspace(2, [Fraction(3), Fraction(0)], direction)
+    assert line != AffineSubspace(2, [Fraction(4), Fraction(0)], direction)
+    assert line == AffineSubspace(2, [Fraction(5), Fraction(1)], direction)
+    assert AffineSubspace(2, [Fraction(1), Fraction(2)]) != AffineSubspace(2, [Fraction(1), Fraction(3)])
+    assert solve_exact(dense_matrix([[1, 1]]), [Fraction(1)]) != solve_exact(dense_matrix([[1, 1]]), [Fraction(2)])
 
 
 def test_image_prefix_bounds():
@@ -411,7 +497,7 @@ def test_operator_matrices_match_oracle(family, lam_name):
         assert det == dense_determinant(rows)
         b = _target(rng, square.rows)
         sol = solve_exact(square, b)
-        assert sol == dense_solve(rows, square.cols, b)
+        assert_same_subspace(sol, dense_solve(rows, square.cols, b), square.cols)
         saturated = enumerate_ball(oracle, n).boundary_saturated
         if family in FINITE and saturated and lam_name == "zero":
             # constants lie in the kernel of the whole finite graph's operator
@@ -426,10 +512,10 @@ def test_operator_matrices_match_oracle(family, lam_name):
         rect_rows = [rect.row(i) for i in range(rect.rows)]
         deep, images = dense_images(rect_rows, rect.cols, b, [ball.size for ball in levels])
         sol = solve_exact(rect, b)
-        assert_same_subspace(sol, deep)
+        assert_same_subspace(sol, deep, rect.cols)
         for ball, want in zip(levels, images):
-            assert_same_subspace(solution_image(rect, b, ball.size), want)
-            assert_same_subspace(image_under_map(sol, restriction_matrix(ball, outer)), want)
+            assert_same_subspace(solution_image(rect, b, ball.size), want, ball.size)
+            assert_same_subspace(image_under_map(sol, restriction_matrix(ball, outer)), want, ball.size)
 
 
 @pytest.mark.parametrize("lam_name", sorted(LAMBDAS))

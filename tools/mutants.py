@@ -112,8 +112,8 @@ MUTANTS = (
     ),
     Mutant(
         "subspace takes a spanning vector of the wrong length", "subspace.py",
-        "            if len(v) != ambient_dim:\n",
-        "            if False:\n",
+        "        if any(len(v) != ambient_dim for v in span):\n",
+        "        if False:\n",
         ("tests/test_linalg.py::test_subspace_rejects_a_point_or_spanning_vector_of_the_wrong_length",),
     ),
     Mutant(
@@ -235,6 +235,27 @@ MUTANTS = (
         "    while len(oracle._adj) < len(oracle._keys) and oracle._dist[len(oracle._adj)] <= n:\n",
         "    while len(oracle._adj) < len(oracle._keys) and oracle._dist[len(oracle._adj)] < n:\n",
         ("tests/test_cli.py::test_finite_chain_stabilizes_only_once_the_graph_is_saturated",),
+    ),
+    Mutant(
+        "image equality ignores the right-hand side", "subspace.py",
+        "        return self.ambient_dim, self.rows\n",
+        "        return self.ambient_dim, self.rows and tuple(row[:2] + row[3:] for row in self.rows)\n",
+        (KERNEL_TESTS + "test_sets_that_differ_only_in_their_right_hand_sides_are_unequal",),
+    ),
+    Mutant(
+        "read-off keeps a negative pivot row", "readoff.py",
+        "        if q < 0:\n",
+        "        if False:\n",
+        (
+            KERNEL_TESTS + "test_a_negative_pivot_is_stored_as_the_positive_row",
+            KERNEL_TESTS + "test_the_back_pass_leaves_primitive_rows_with_positive_pivots",
+        ),
+    ),
+    Mutant(
+        "determinant drops the permutation sign", "linalg.py",
+        "            top = -top\n",
+        "            pass\n",
+        ("tests/test_finite_oracles.py::test_certify_counts_spanning_trees_of_the_merged_ball",),
     ),
 )
 
